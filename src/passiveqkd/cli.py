@@ -1,10 +1,11 @@
 """Scenario-driven command line: validate and run analyses, emit curve tables.
 
 A scenario is one YAML file naming an analysis mode plus the physical
-parameters it needs.  ``run`` executes it (distance sweep or single point)
-and writes a '#'-commented delimited table; ``validate`` checks schema and
-physics without computing; ``list-scenarios`` shows the bundled files that
-reproduce the reference figures.
+parameters it needs, parsed once into the library's own types, whose
+constructors make the physics checks.  ``run`` executes it (distance sweep
+or single point) and writes a '#'-commented delimited table; ``validate``
+makes the same parse without computing; ``list-scenarios`` shows the
+bundled files that reproduce the reference figures.
 
 Exit codes: 0 ok, 2 validation error, 3 numerical degeneracy, 4 I/O error.
 """
@@ -12,11 +13,13 @@ Exit codes: 0 ok, 2 validation error, 3 numerical degeneracy, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.resources
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import yaml
 from scipy import stats
@@ -25,6 +28,7 @@ from . import __version__
 from .keyrate import (
     ChannelParams,
     DecoySettings,
+    RatePoint,
     channel_gain_qber,
     decoy_rate_trusted,
     decoy_rate_untagged,
@@ -37,46 +41,11 @@ from .noise_bounds import GaussianNoise, PoissonNoise, ThresholdWindow
 from .photon_stats import PassiveSchemeParams
 from .worstcase import InfeasibleError, maximize_ratio
 
-MODES = (
-    "apn-bb84",
-    "pna-bb84",
-    "trusted-bb84",
-    "pna-decoy",
-    "trusted-decoy",
-    "mc-pipeline",
-)
-
-_TOP_KEYS = {
-    "mode",
-    "description",
-    "scheme",
-    "channel",
-    "decoy",
-    "noise",
-    "window",
-    "sweep",
-    "alpha",
-    "M",
-    "seed",
-    "f_ec",
-    "delta_source",
-    "output",
-}
-_SECTION_KEYS = {
-    "scheme": {"t_B", "t_D", "lam", "mu"},
-    "channel": {"eta_B", "alpha_prime", "Y0", "e_det", "e0"},
-    "decoy": {"nu_s", "nu_d", "lambda_s", "lambda_d", "f_ec"},
-    "noise": {"type", "gamma", "sigma2"},
-    "sweep": {"L_start", "L_end", "L_step"},
-}
-_MODE_REQUIRES = {
-    "apn-bb84": {"scheme", "channel", "sweep"},
-    "pna-bb84": {"scheme", "channel", "sweep", "window"},
-    "trusted-bb84": {"scheme", "channel", "sweep"},
-    "pna-decoy": {"scheme", "channel", "decoy", "sweep"},
-    "trusted-decoy": {"channel", "decoy", "sweep"},
-    "mc-pipeline": {"scheme", "alpha", "M", "seed"},
-}
+_SECTIONS = ("scheme", "channel", "decoy", "noise", "window", "sweep")
+_PIPELINE_KEYS = ("alpha", "M", "seed")
+_TOP_KEYS = {*_SECTIONS, *_PIPELINE_KEYS, "mode", "description", "f_ec", "delta_source", "output"}
+_SWEEP_KEYS = ("L_start", "L_end", "L_step")
+_NOISE = {"poisson": PoissonNoise, "gaussian": GaussianNoise, "none": None}
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -91,6 +60,7 @@ class ScenarioError(Exception):
 @dataclass
 class ValidationReport:
     errors: list[dict] = field(default_factory=list)
+    scenario: SimpleNamespace | None = None  # the parsed objects ``run`` uses
 
     @property
     def ok(self) -> bool:
@@ -113,15 +83,8 @@ def bundled_scenarios() -> dict[str, str]:
     }
 
 
-def _resolve_path(name_or_path: str) -> str:
-    bundled = bundled_scenarios()
-    if name_or_path in bundled:
-        return bundled[name_or_path]
-    return name_or_path
-
-
 def load_scenario(name_or_path: str) -> dict:
-    path = _resolve_path(name_or_path)
+    path = bundled_scenarios().get(name_or_path, name_or_path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
@@ -134,232 +97,230 @@ def load_scenario(name_or_path: str) -> dict:
     return data
 
 
-def _check_number(report, data, section, key, lo=None, hi=None, strict_lo=False):
-    if key not in data:
+def _mistyped(value, kind) -> str | None:
+    """Why ``value`` cannot fill a field annotated ``kind``, or None."""
+    if isinstance(value, bool) or not isinstance(value, {"int": int}.get(kind, (int, float))):
+        return "must be an integer" if kind == "int" else "must be a number"
+    return None
+
+
+def _key_problems(spec: dict, kinds: dict, required) -> list[tuple[str, str]]:
+    """Unknown, mistyped and missing keys of one scenario mapping."""
+    problems = [(k, _mistyped(v, kinds[k]) if k in kinds else "unknown key")
+                for k, v in spec.items()]
+    problems += [(k, "required") for k in kinds if k in required and k not in spec]
+    return [(k, message) for k, message in problems if message]
+
+
+def _build(report, section, cls, spec, skip=(), **given):
+    """``cls(**spec, **given)``, or None with every problem in the report.
+
+    ``spec`` may and must hold the fields of ``cls`` less ``skip`` and
+    ``given``, with their types; callables in ``given`` get the checked
+    ``spec``.  Library messages start with the offending field's name.
+    An absent section (``spec`` None) gives None.
+    """
+    if spec is None:
         return None
-    value = data[key]
-    name = f"{section}.{key}" if section else key
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        report.add(name, "must be a number")
+    fields = [f for f in dataclasses.fields(cls) if f.name not in (*skip, *given)]
+    kinds = {f.name: f.type for f in fields}
+    required = {f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING}
+    problems = _key_problems(spec, kinds, required)
+    if not problems:
+        given = {k: v(spec) if callable(v) else v for k, v in given.items()}
+        try:
+            return cls(**spec, **given)
+        except ValueError as exc:
+            key = str(exc).split()[0]
+            problems = [(key if key in kinds else "", str(exc))]
+    for key, message in problems:
+        report.add(f"{section}.{key}" if section and key else section or key, message)
+    return None
+
+
+def _parse_sweep(report, spec):
+    """The sweep's distances in km; the sweep has no library type."""
+    problems = _key_problems(spec, dict.fromkeys(_SWEEP_KEYS, "float"), _SWEEP_KEYS)
+    if not problems:
+        l0, l1, step = (spec[key] for key in _SWEEP_KEYS)
+        bounds = (("L_start", l0 < 0, ">= 0"), ("L_step", step <= 0, "> 0"),
+                  ("L_end", l1 < l0, ">= L_start"))
+        problems = [(key, f"must be {bound}") for key, wrong, bound in bounds if wrong]
+    for key, message in problems:
+        report.add(f"sweep.{key}", message)
+    if problems:
         return None
-    if lo is not None and (value <= lo if strict_lo else value < lo):
-        report.add(name, f"must be {'>' if strict_lo else '>='} {lo}")
-        return None
-    if hi is not None and value > hi:
-        report.add(name, f"must be <= {hi}")
-        return None
-    return float(value)
+    n = int(math.floor((l1 - l0) / step + 1e-9)) + 1
+    return [l0 + i * step for i in range(n)]
+
+
+def _optimized_lam(mu: float, t_B: float, ch: ChannelParams) -> float:
+    # choose the attenuator so the source-to-encoder transmittance
+    # equals eta_B * eta_f / mu at this distance (inf when mu = 0 or
+    # t_B = 1, which the scheme's constructor then names)
+    denom = mu * (1.0 - t_B)
+    return ch.eta_B * ch.eta_f / denom if denom else math.inf
 
 
 def validate_scenario_dict(data: dict) -> ValidationReport:
-    """Schema and physics checks; performs no computation."""
+    """Parse a scenario into the library's types; performs no computation.
+
+    Every error, the constructors' own included, becomes a ``{field,
+    message}`` entry.  ``report.scenario`` holds the objects ``run`` uses.
+    """
     report = ValidationReport()
     for key in data:
         if key not in _TOP_KEYS:
             report.add(key, "unknown key")
     mode = data.get("mode")
-    if mode not in MODES:
+    if not isinstance(mode, str) or mode not in MODES:
         report.add("mode", f"must be one of {', '.join(MODES)}")
         return report
-    for section in _MODE_REQUIRES[mode]:
-        if section not in data:
-            report.add(section, f"required for mode {mode}")
-    for section, allowed in _SECTION_KEYS.items():
-        block = data.get(section)
-        if block is None:
-            continue
-        if not isinstance(block, dict):
-            report.add(section, "must be a mapping")
-            continue
-        for key in block:
-            if key not in allowed:
-                report.add(f"{section}.{key}", "unknown key")
-
-    scheme = data.get("scheme")
-    t_B = t_D = None
-    if isinstance(scheme, dict):
-        t_B = _check_number(report, scheme, "scheme", "t_B", 0.0, 1.0, strict_lo=True)
-        if t_B == 1.0:
-            report.add("scheme.t_B", "must be < 1")
-            t_B = None
-        t_D = _check_number(report, scheme, "scheme", "t_D", 0.0, 1.0, strict_lo=True)
-        _check_number(report, scheme, "scheme", "mu", 0.0, strict_lo=True)
-        lam = scheme.get("lam")
-        if lam is not None and lam != "optimized":
-            lam_val = _check_number(report, scheme, "scheme", "lam", 0.0, 1.0, strict_lo=True)
-            if None not in (lam_val, t_B, t_D):
-                lam_a = (1.0 - t_B) * lam_val / (t_B * t_D)
-                if lam_a > 1.0 + 1e-12:
-                    report.add(
-                        "scheme.lam",
-                        f"lambda_A = {lam_a:.6g} > 1; requires lam <= t_B*t_D/(1-t_B)",
-                    )
-
-    channel = data.get("channel")
-    if isinstance(channel, dict):
-        _check_number(report, channel, "channel", "eta_B", 0.0, 1.0, strict_lo=True)
-        _check_number(report, channel, "channel", "alpha_prime", 0.0)
-        _check_number(report, channel, "channel", "Y0", 0.0)
-        _check_number(report, channel, "channel", "e_det", 0.0, 0.5)
-        _check_number(report, channel, "channel", "e0", 0.0, 1.0)
-
-    decoy = data.get("decoy")
-    if isinstance(decoy, dict):
-        nu_s = _check_number(report, decoy, "decoy", "nu_s", 0.0, strict_lo=True)
-        nu_d = _check_number(report, decoy, "decoy", "nu_d", 0.0, strict_lo=True)
-        lam_s = _check_number(report, decoy, "decoy", "lambda_s", 0.0, 1.0, strict_lo=True)
-        lam_d = _check_number(report, decoy, "decoy", "lambda_d", 0.0, 1.0, strict_lo=True)
-        _check_number(report, decoy, "decoy", "f_ec", 1.0)
-        if None not in (nu_s, nu_d) and nu_d >= nu_s:
-            report.add("decoy.nu_d", "must be below nu_s")
-        if None not in (lam_s, lam_d) and lam_d >= lam_s:
-            report.add("decoy.lambda_d", "must be below lambda_s")
-        if None not in (lam_s, t_B, t_D):
-            cap = t_B * t_D / (1.0 - t_B)
-            if lam_s > cap + 1e-15:
-                report.add(
-                    "decoy.lambda_s",
-                    f"must satisfy lambda_s <= t_B*t_D/(1-t_B) = {cap:.6g}",
-                )
-
-    noise = data.get("noise")
-    if isinstance(noise, dict):
-        ntype = noise.get("type")
-        if ntype not in ("poisson", "gaussian", "none"):
-            report.add("noise.type", "must be poisson, gaussian, or none")
-        elif ntype == "poisson":
-            if _check_number(report, noise, "noise", "gamma", 0.0, strict_lo=True) is None:
-                report.add("noise.gamma", "required for poisson noise")
-        elif ntype == "gaussian":
-            if _check_number(report, noise, "noise", "sigma2", 0.0, strict_lo=True) is None:
-                report.add("noise.sigma2", "required for gaussian noise")
-
-    window = data.get("window")
-    if window is not None and window != "auto-minmax":
-        if not isinstance(window, dict) or set(window) != {"m1", "m2"}:
-            report.add("window", "must be 'auto-minmax' or a {m1, m2} mapping")
-        else:
-            m1 = _check_number(report, window, "window", "m1", 0.0)
-            m2 = _check_number(report, window, "window", "m2")
-            if None not in (m1, m2) and m1 >= m2:
-                report.add("window.m2", "must exceed m1")
-    sweep = data.get("sweep")
-    if isinstance(sweep, dict):
-        l0 = _check_number(report, sweep, "sweep", "L_start", 0.0)
-        l1 = _check_number(report, sweep, "sweep", "L_end", 0.0)
-        step = _check_number(report, sweep, "sweep", "L_step", 0.0, strict_lo=True)
-        for key in ("L_start", "L_end", "L_step"):
-            if key not in sweep:
-                report.add(f"sweep.{key}", "required")
-        if None not in (l0, l1) and l1 < l0:
-            report.add("sweep.L_end", "must be >= L_start")
-
-    _check_number(report, data, "", "alpha", 0.0, 1.0, strict_lo=True)
-    if data.get("alpha") == 1.0:
-        report.add("alpha", "must be < 1")
-    if "M" in data and (not isinstance(data["M"], int) or data["M"] < 1):
-        report.add("M", "must be a positive integer")
-    if "seed" in data and (not isinstance(data["seed"], int) or data["seed"] < 0):
-        report.add("seed", "must be a non-negative integer")
-    _check_number(report, data, "", "f_ec", 1.0)
     if data.get("delta_source") not in (None, "exact", "pipeline"):
         report.add("delta_source", "must be 'exact' or 'pipeline'")
-    elif mode in ("pna-bb84", "pna-decoy"):
-        if data.get("delta_source", "exact") == "exact":
-            if not isinstance(window, dict):
-                report.add("window", "delta_source 'exact' needs a fixed {m1, m2} window")
-        else:
-            for key in ("M", "seed", "alpha"):
-                if key not in data:
-                    report.add(key, "required when delta_source is 'pipeline'")
-    elif mode == "mc-pipeline":
-        if window is None:
-            report.add("window", "required (fixed {m1, m2} or 'auto-minmax')")
+    source = data.get("delta_source", "exact") if mode.startswith("pna-") else None
+    source = "pipeline" if mode == "mc-pipeline" else source
+    for key in MODES[mode][0] + (_PIPELINE_KEYS if source == "pipeline" else ()):
+        if data.get(key) is None:
+            report.add(key, f"required for mode {mode}")
+    if source == "exact" and not isinstance(data.get("window"), dict):
+        report.add("window", "delta_source 'exact' needs a fixed {m1, m2} window")
+    if "f_ec" in data and (_mistyped(data["f_ec"], "float") or not data["f_ec"] >= 1.0):
+        report.add("f_ec", "must be a number >= 1")
     if data.get("output") is not None and not isinstance(data["output"], str):
         report.add("output", "must be a path string")
+
+    blocks = {}
+    for section in _SECTIONS:
+        block = data.get(section)
+        if isinstance(block, dict):
+            blocks[section] = block
+        elif section == "window" and block not in (None, "auto-minmax"):
+            report.add(section, "must be 'auto-minmax' or a {m1, m2} mapping")
+        elif section != "window" and block is not None:
+            report.add(section, "must be a mapping")
+    # channel.L stays an unknown key: the sweep sets L
+    channel = _build(report, "channel", ChannelParams, blocks.get("channel"), skip=("L",))
+    points = _parse_sweep(report, blocks["sweep"]) if "sweep" in blocks else None
+    noise = None
+    if "noise" in blocks:
+        rest = dict(blocks["noise"])
+        ntype = rest.pop("type", None)
+        cls = _NOISE.get(ntype, False) if isinstance(ntype, str) else False
+        if cls is False or (cls is None and rest):
+            report.add("noise.type", "must be poisson, gaussian, or none (with no other key)")
+        elif cls is not None:
+            noise = _build(report, "noise", cls, rest)
+    window = _build(report, "window", ThresholdWindow, blocks.get("window"))
+    decoy = None
+    if "decoy" in blocks:
+        # trusted-decoy never reads the attenuators: absent ones get an
+        # admissible stand-in so that the constructor checks the rest
+        stand_in = {"lambda_s": 1.0, "lambda_d": 0.5} if mode == "trusted-decoy" else {}
+        decoy = _build(report, "decoy", DecoySettings, {**stand_in, **blocks["decoy"]})
+    scheme = None
+    optimized = "scheme" in blocks and blocks["scheme"].get("lam") == "optimized"
+    if "scheme" in blocks and not optimized:
+        scheme = _build(report, "scheme", PassiveSchemeParams, blocks["scheme"])
+    elif optimized and "channel" not in MODES[mode][0]:
+        report.add("scheme.lam", f"'optimized' needs a channel, and mode {mode} has none")
+    elif optimized and channel is not None and points is not None:
+        # lam is largest at the first distance, so the constructor's upper
+        # bounds checked there hold for the whole sweep
+        ch0 = channel.at_distance(points[0])
+        spec = {k: v for k, v in blocks["scheme"].items() if k != "lam"}
+        scheme = _build(report, "scheme", PassiveSchemeParams, spec,
+                        lam=lambda spec: _optimized_lam(spec["mu"], spec["t_B"], ch0))
+    if mode == "pna-decoy" and scheme is not None and decoy is not None:
+        try:
+            replace(scheme, lam=decoy.lambda_s)
+        except ValueError as exc:
+            report.add("decoy.lambda_s", str(exc))
+
+    # alpha, M and seed are read, and so checked, only where the pipeline runs
+    alpha, config = data.get("alpha"), None
+    if source == "pipeline" and report.ok:
+        if _mistyped(alpha, "float") or not 0.0 < alpha < 1.0:
+            report.add("alpha", "must be a number in (0, 1)")
+        spec = {key: data[key] for key in ("M", "seed")}
+        config = _build(report, "", RunConfig, spec, source=PoissonianSource(scheme.mu),
+                        scheme=scheme, noise=noise, window=window)
+    report.scenario = SimpleNamespace(
+        mode=mode, scheme=scheme, optimized=optimized, channel=channel, decoy=decoy,
+        noise=noise, window=window, points=points, delta_source=source, config=config,
+        alpha=alpha, f_ec=data.get("f_ec", 1.0),
+        untagged=None,  # 1 - delta, set by the run for the modes that read it
+        p_multi={},  # worst-case multiphoton bound by eta, filled during one run
+    )
     return report
 
 
-def validate_scenario(name_or_path: str) -> ValidationReport:
-    """Load and validate; unreadable files raise ScenarioError (I/O, not schema)."""
-    return validate_scenario_dict(load_scenario(name_or_path))
+def _scheme_at(s, ch: ChannelParams) -> PassiveSchemeParams:
+    if s.optimized:
+        return replace(s.scheme, lam=_optimized_lam(s.scheme.mu, s.scheme.t_B, ch))
+    return s.scheme
 
 
-def _sweep_points(sweep: dict) -> list[float]:
-    l0, l1, step = sweep["L_start"], sweep["L_end"], sweep["L_step"]
-    n = int(math.floor((l1 - l0) / step + 1e-9)) + 1
-    return [l0 + i * step for i in range(n)]
+def _apn_point(s, ch) -> RatePoint:
+    scheme = _scheme_at(s, ch)
+    # eta is fixed unless lam is optimized: one maximize_ratio call (up to
+    # ~36 ms) then serves the whole sweep
+    if scheme.eta not in s.p_multi:
+        s.p_multi[scheme.eta] = maximize_ratio(scheme.eta, scheme.mu).p_multi_upper
+    Q, E = channel_gain_qber(scheme.mu * scheme.eta, ch)
+    delta_bar = s.p_multi[scheme.eta] / Q
+    return RatePoint(ch.L, gllp_rate(Q, E, min(1.0, delta_bar), s.f_ec), delta_bar, Q, E)
 
 
-def _scheme_at(data: dict, ch: ChannelParams) -> PassiveSchemeParams:
-    s = data["scheme"]
-    lam = s["lam"]
-    if lam == "optimized":
-        # choose the attenuator so the source-to-encoder transmittance
-        # equals eta_B * eta_f / mu at this distance
-        lam = ch.eta_B * ch.eta_f / (s["mu"] * (1.0 - s["t_B"]))
-    return PassiveSchemeParams(t_B=s["t_B"], t_D=s["t_D"], lam=lam, mu=s["mu"])
+def _trusted_point(s, ch) -> RatePoint:
+    scheme = _scheme_at(s, ch)
+    mu_p2 = scheme.mu * scheme.eta
+    delta_bar = trusted_delta_bar(mu_p2, ch)
+    Q, E = channel_gain_qber(mu_p2, ch)
+    return RatePoint(ch.L, gllp_rate(Q, E, min(1.0, delta_bar), s.f_ec), delta_bar, Q, E)
 
 
-def _channel(data: dict) -> ChannelParams:
-    c = data["channel"]
-    return ChannelParams(
-        eta_B=c["eta_B"],
-        alpha_prime=c["alpha_prime"],
-        Y0=c.get("Y0", 0.0),
-        e_det=c.get("e_det", 0.0),
-        e0=c.get("e0", 0.5),
-    )
+def _pna_point(s, ch) -> RatePoint:
+    return pna_rate_bb84(_scheme_at(s, ch), ch, s.window, s.untagged, s.f_ec)
 
 
-def _noise_model(data: dict):
-    noise = data.get("noise")
-    if noise is None or noise.get("type") == "none":
-        return None
-    if noise["type"] == "poisson":
-        return PoissonNoise(noise["gamma"])
-    return GaussianNoise(noise["sigma2"])
+def _pna_decoy_point(s, ch) -> RatePoint:
+    return decoy_rate_untagged(_scheme_at(s, ch), ch, s.decoy, s.window, s.untagged, s.untagged)
 
 
-def _window_or_pipeline(data: dict, threads: int):
+def _trusted_decoy_point(s, ch) -> RatePoint:
+    return decoy_rate_trusted(ch, s.decoy.nu_s, s.decoy.nu_d, s.decoy.f_ec)
+
+
+# mode -> (keys it requires, its rate at one distance); mc-pipeline has no
+# sweep, its result is the untagged-fraction bound itself
+MODES = {
+    "apn-bb84": (("scheme", "channel", "sweep"), _apn_point),
+    "pna-bb84": (("scheme", "channel", "sweep", "window"), _pna_point),
+    "trusted-bb84": (("scheme", "channel", "sweep"), _trusted_point),
+    "pna-decoy": (("scheme", "channel", "decoy", "sweep"), _pna_decoy_point),
+    "trusted-decoy": (("channel", "decoy", "sweep"), _trusted_decoy_point),
+    "mc-pipeline": (("scheme", "window"), None),
+}
+
+
+def _untagged_fraction(s, threads: int):
     """Resolve (window, one_minus_delta, pipeline_degenerate_flag).
 
     'exact' uses the analytic Poissonian windowed mass; 'pipeline' runs the
     Monte Carlo monitoring experiment and its confidence/noise bound chain.
     The monitor branch sees xi = t_B * t_D independent of the attenuator, so
-    one value covers both decoy intensities.
+    one value covers every distance and both decoy intensities.
     """
-    scheme = PassiveSchemeParams(
-        t_B=data["scheme"]["t_B"],
-        t_D=data["scheme"]["t_D"],
-        lam=data["scheme"]["lam"] if data["scheme"]["lam"] != "optimized" else 1e-9,
-        mu=data["scheme"]["mu"],
+    if s.config is not None:
+        result = run_pipeline(s.config, s.alpha, threads=threads)
+        return result.effective_window, result.untagged_lower, result.degenerate
+    w, mean_m = s.window, s.scheme.mu * s.scheme.xi
+    omd = float(
+        stats.poisson.cdf(math.floor(w.m2), mean_m)
+        - stats.poisson.cdf(math.ceil(w.m1) - 1, mean_m)
     )
-    window_spec = data.get("window")
-    fixed = (
-        ThresholdWindow(window_spec["m1"], window_spec["m2"])
-        if isinstance(window_spec, dict)
-        else None
-    )
-    if data.get("delta_source", "exact") == "exact":
-        if fixed is None:
-            raise ScenarioError("delta_source 'exact' needs a fixed {m1, m2} window")
-        mean_m = scheme.mu * scheme.xi
-        omd = float(
-            stats.poisson.cdf(math.floor(fixed.m2), mean_m)
-            - stats.poisson.cdf(math.ceil(fixed.m1) - 1, mean_m)
-        )
-        return fixed, omd, False
-    config = RunConfig(
-        M=data["M"],
-        seed=data["seed"],
-        source=PoissonianSource(scheme.mu),
-        scheme=scheme,
-        noise=_noise_model(data),
-        window=fixed,
-    )
-    result = run_pipeline(config, data["alpha"], threads=threads)
-    return result.effective_window, result.untagged_lower, result.degenerate
+    return w, omd, False
 
 
 def _format_row(L, rate, Q, E, delta_bar, untagged) -> str:
@@ -367,6 +328,26 @@ def _format_row(L, rate, Q, E, delta_bar, untagged) -> str:
         return "" if x is None else f"{x:.10g}"
 
     return "\t".join(fmt(v) for v in (L, rate, Q, E, delta_bar, untagged))
+
+
+def _run(s, threads: int):
+    """(rows, summary, degenerate) of a parsed scenario."""
+    degenerate = False
+    if s.delta_source is not None:
+        s.window, s.untagged, degenerate = _untagged_fraction(s, threads)
+    point = MODES[s.mode][1]
+    if point is None:
+        rows = [_format_row(None, None, None, None, None, s.untagged)]
+        window = f"[{s.window.m1:g}, {s.window.m2:g}]"
+        return rows, {"untagged_lower": s.untagged, "window": window}, degenerate
+    rows, max_secure = [], None
+    for L in s.points:
+        p = point(s, s.channel.at_distance(L))
+        rows.append(_format_row(L, p.rate, p.Q, p.E, p.delta_bar, s.untagged))
+        if p.rate > 0.0:
+            max_secure = L
+    summary = {"max_secure_distance_km": max_secure if max_secure is not None else "none"}
+    return rows, summary, degenerate
 
 
 def run_scenario(
@@ -377,49 +358,39 @@ def run_scenario(
     alpha: float | None = None,
     stream=None,
 ) -> int:
-    """Execute a scenario and write its table; returns the process exit code."""
+    """Execute a scenario and write its table; returns the process exit code.
+
+    The overrides replace the scenario's own values before validation.
+    """
     stream = stream if stream is not None else sys.stdout
     try:
         data = load_scenario(name_or_path)
     except ScenarioError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    for key, value in (("seed", seed), ("alpha", alpha), ("output", output)):
+        if value is not None:
+            data[key] = value
     report = validate_scenario_dict(data)
     if not report.ok:
         print(report.to_json(), file=sys.stderr)
         return EXIT_VALIDATION
-    if seed is not None:
-        data["seed"] = seed
-    if alpha is not None:
-        data["alpha"] = alpha
-    if output is not None:
-        data["output"] = output
-    mode = data["mode"]
-    degenerate = False
+    s = report.scenario
+    if s.mode == "mc-pipeline":
+        data["delta_source"] = "pipeline"
 
     try:
-        rows: list[str] = []
-        summary: dict[str, float | str] = {}
-        if mode == "mc-pipeline":
-            data["delta_source"] = "pipeline"
-            window, untagged, degenerate = _window_or_pipeline(data, threads)
-            rows.append(_format_row(None, None, None, None, None, untagged))
-            summary["untagged_lower"] = untagged
-            summary["window"] = f"[{window.m1:g}, {window.m2:g}]"
-        else:
-            rows, summary, degenerate = _run_sweep(data, threads)
-    except (InfeasibleError, ScenarioError, ValueError) as exc:
+        rows, summary, degenerate = _run(s, threads)
+    except (InfeasibleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
 
-    noise = _noise_model(data)
-    if "scheme" in data and noise is not None:
-        scheme = data["scheme"]
-        mean_m = scheme["mu"] * scheme["t_B"] * scheme["t_D"]
-        if isinstance(noise, PoissonNoise):
-            summary["R_SN_p"] = mean_m / noise.gamma
+    if s.scheme is not None and s.noise is not None:
+        mean_m = s.scheme.mu * s.scheme.t_B * s.scheme.t_D
+        if isinstance(s.noise, PoissonNoise):
+            summary["R_SN_p"] = mean_m / s.noise.gamma
         else:
-            summary["R_SN_g"] = mean_m / noise.sigma2
+            summary["R_SN_g"] = mean_m / s.noise.sigma2
 
     lines = [
         f"# passiveqkd {__version__}",
@@ -447,76 +418,11 @@ def run_scenario(
     return EXIT_OK
 
 
-def _run_sweep(data: dict, threads: int):
-    mode = data["mode"]
-    ch0 = _channel(data)
-    f_ec = data.get("f_ec", 1.0)
-    degenerate = False
-
-    window = None
-    omd = None
-    if mode in ("pna-bb84", "pna-decoy"):
-        window, omd, degenerate = _window_or_pipeline(data, threads)
-
-    # cache the adversarial bound across distances when eta is fixed
-    apn_bound_cache: dict[float, float] = {}
-
-    rows = []
-    max_secure = None
-    for L in _sweep_points(data["sweep"]):
-        ch = ch0.at_distance(L)
-        untagged = None
-        if mode == "trusted-decoy":
-            point = decoy_rate_trusted(
-                ch, data["decoy"]["nu_s"], data["decoy"]["nu_d"], data["decoy"].get("f_ec", 1.0)
-            )
-        elif mode == "pna-decoy":
-            scheme = _scheme_at(data, ch)
-            settings = DecoySettings(
-                nu_s=data["decoy"]["nu_s"],
-                nu_d=data["decoy"]["nu_d"],
-                lambda_s=data["decoy"]["lambda_s"],
-                lambda_d=data["decoy"]["lambda_d"],
-                f_ec=data["decoy"].get("f_ec", 1.0),
-            )
-            point = decoy_rate_untagged(scheme, ch, settings, window, omd, omd)
-            untagged = omd
-        elif mode == "pna-bb84":
-            scheme = _scheme_at(data, ch)
-            point = pna_rate_bb84(scheme, ch, window, omd, f_ec)
-            untagged = omd
-        elif mode == "trusted-bb84":
-            scheme = _scheme_at(data, ch)
-            mu_p2 = scheme.mu * scheme.eta
-            delta_bar = trusted_delta_bar(mu_p2, ch)
-            Q, E = channel_gain_qber(mu_p2, ch)
-            rate = gllp_rate(Q, E, min(1.0, delta_bar), f_ec)
-            point = _Point(L, rate, delta_bar, Q, E)
-        else:  # apn-bb84
-            scheme = _scheme_at(data, ch)
-            if scheme.eta not in apn_bound_cache:
-                apn_bound_cache[scheme.eta] = maximize_ratio(
-                    scheme.eta, scheme.mu
-                ).p_multi_upper
-            Q, E = channel_gain_qber(scheme.mu * scheme.eta, ch)
-            delta_bar = apn_bound_cache[scheme.eta] / Q
-            rate = gllp_rate(Q, E, min(1.0, delta_bar), f_ec)
-            point = _Point(L, rate, delta_bar, Q, E)
-        rows.append(_format_row(L, point.rate, point.Q, point.E, point.delta_bar, untagged))
-        if point.rate > 0.0:
-            max_secure = L
-
-    summary = {"max_secure_distance_km": max_secure if max_secure is not None else "none"}
-    return rows, summary, degenerate
-
-
-@dataclass(frozen=True)
-class _Point:
-    L: float
-    rate: float
-    delta_bar: float
-    Q: float
-    E: float
+def _thread_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
 
 
 def main(argv=None) -> int:
@@ -529,7 +435,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a scenario")
     p_run.add_argument("scenario", help="bundled scenario name or YAML path")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--threads", type=int, default=1)
+    p_run.add_argument("--threads", type=_thread_count, default=1)
     p_run.add_argument("--output", default=None)
     p_run.add_argument("--alpha", type=float, default=None)
 
@@ -545,7 +451,7 @@ def main(argv=None) -> int:
         return EXIT_OK
     if args.command == "validate":
         try:
-            report = validate_scenario(args.scenario)
+            report = validate_scenario_dict(load_scenario(args.scenario))
         except ScenarioError as exc:
             print(f"I/O error: {exc}", file=sys.stderr)
             return EXIT_IO

@@ -88,9 +88,11 @@ class DecoySettings:
 
     def __post_init__(self):
         if not 0.0 < self.nu_d < self.nu_s:
-            raise ValueError("need 0 < nu_d < nu_s")
-        if not 0.0 < self.lambda_d < self.lambda_s <= 1.0:
-            raise ValueError("need 0 < lambda_d < lambda_s <= 1")
+            raise ValueError("nu_d must satisfy 0 < nu_d < nu_s")
+        if not 0.0 < self.lambda_s <= 1.0:
+            raise ValueError("lambda_s must be in (0, 1]")
+        if not 0.0 < self.lambda_d < self.lambda_s:
+            raise ValueError("lambda_d must satisfy 0 < lambda_d < lambda_s")
         if self.f_ec < 1.0:
             raise ValueError("f_ec must be >= 1")
 

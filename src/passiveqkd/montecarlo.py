@@ -74,7 +74,7 @@ class RunConfig:
         if self.M < 1:
             raise ValueError("M must be at least 1")
         if not 0 <= self.seed < 1 << 64:
-            raise ValueError("seed must fit in 64 bits")
+            raise ValueError("seed must be in [0, 2**64)")
 
 
 @dataclass(frozen=True)

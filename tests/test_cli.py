@@ -1,6 +1,8 @@
 """Scenario loading, validation, and the command-line entry point."""
 
+import io
 import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -11,6 +13,7 @@ from passiveqkd.cli import (
     EXIT_VALIDATION,
     bundled_scenarios,
     main,
+    run_scenario,
     validate_scenario_dict,
 )
 
@@ -159,3 +162,75 @@ def test_run_seed_override_changes_result(tmp_path, capsys):
     assert main(["run", path, "--seed", "6"]) == EXIT_OK
     second = capsys.readouterr().out
     assert first != second
+
+
+GOOD_MC = {
+    "mode": "mc-pipeline",
+    "scheme": {"t_B": 0.9, "t_D": 0.76, "lam": 3.42e-7, "mu": 1000.0},
+    "window": "auto-minmax",
+    "alpha": 1e-6,
+    "M": 1000,
+    "seed": 5,
+}
+
+
+def changed(data, section, **updates):
+    """A copy of ``data`` with keys of one section set, or deleted when None."""
+    block = {k: v for k, v in dict(data[section], **updates).items() if v is not None}
+    return dict(data, **{section: block})
+
+
+@pytest.mark.parametrize(
+    "data, flags, field",
+    [
+        pytest.param(changed(GOOD_TRUSTED, "channel", eta_B=None), [], "channel.eta_B",
+                     id="missing-eta_B"),
+        pytest.param(changed(GOOD_TRUSTED, "scheme", mu=None), [], "scheme.mu", id="missing-mu"),
+        pytest.param(changed(GOOD_TRUSTED, "channel", e_det=0.5), [], "channel.e_det",
+                     id="e_det-0.5"),
+        pytest.param(changed(GOOD_TRUSTED, "channel", Y0=1.5), [], "channel.Y0", id="Y0-1.5"),
+        pytest.param(dict(GOOD_MC, seed=2**70), [], "seed", id="seed-2**70"),
+        pytest.param(changed(GOOD_MC, "scheme", lam="optimized"), [], "scheme.lam",
+                     id="mc-pipeline-lam-optimized"),
+        pytest.param(GOOD_MC, ["--seed", "-1"], "seed", id="seed-flag-negative"),
+        pytest.param(GOOD_MC, ["--alpha", "2"], "alpha", id="alpha-flag-2"),
+    ],
+)
+def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, data, flags, field):
+    path = write_scenario(tmp_path, data)
+    if not flags:
+        assert main(["validate", path]) == EXIT_VALIDATION
+        report = json.loads(capsys.readouterr().out)
+        assert field in [e["field"] for e in report["errors"]]
+    assert main(["run", path, *flags]) == EXIT_VALIDATION
+    report = json.loads(capsys.readouterr().err)
+    assert field in [e["field"] for e in report["errors"]]
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_run_rejects_thread_count_below_one(tmp_path, threads):
+    path = write_scenario(tmp_path, GOOD_MC)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", path, "--threads", threads])
+    assert exc.value.code == EXIT_VALIDATION
+
+
+def test_trusted_decoy_needs_no_attenuators():
+    data = {
+        "mode": "trusted-decoy",
+        "channel": GOOD_TRUSTED["channel"],
+        "decoy": {"nu_s": 0.5, "nu_d": 0.1},
+        "sweep": GOOD_TRUSTED["sweep"],
+    }
+    assert validate_scenario_dict(data).ok
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("*.tsv")))
+def test_bundled_scenario_table_matches_golden(name):
+    # the golden files change only with an intended output change, named in CHANGES.md
+    out = io.StringIO()
+    assert run_scenario(name, stream=out) == EXIT_OK
+    assert out.getvalue() == (GOLDEN / f"{name}.tsv").read_text(encoding="utf-8")

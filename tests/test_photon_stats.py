@@ -122,3 +122,10 @@ def test_scheme_params_rejects_invalid_attenuator():
     # lam beyond t_B t_D / (1 - t_B) would need gain, not attenuation
     with pytest.raises(ValueError, match="lambda_a"):
         PassiveSchemeParams(t_B=0.3, t_D=0.5, lam=0.9, mu=1.0)
+
+
+@pytest.mark.parametrize("mu", [1545.0, 5000.0, 1e4, 1e5])
+def test_poisson_pnd_builds_at_large_means(mu):
+    # scipy's pmf summed over thousands of terms misses 1 by more than 1e-12
+    pnd = poisson_pnd(mu)
+    assert pnd.mean == pytest.approx(mu, rel=1e-9)
