@@ -17,6 +17,7 @@ import dataclasses
 import importlib.resources
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
@@ -409,6 +410,8 @@ def run_scenario(
                 fh.write(text)
         else:
             stream.write(text)
+    except BrokenPipeError:
+        raise  # the reader left; main ends quietly
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -457,13 +460,20 @@ def main(argv=None) -> int:
             return EXIT_IO
         print(report.to_json())
         return EXIT_OK if report.ok else EXIT_VALIDATION
-    return run_scenario(
-        args.scenario,
-        seed=args.seed,
-        threads=args.threads,
-        output=args.output,
-        alpha=args.alpha,
-    )
+    try:
+        status = run_scenario(
+            args.scenario,
+            seed=args.seed,
+            threads=args.threads,
+            output=args.output,
+            alpha=args.alpha,
+        )
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # reader gone (`run ... | head`): end quietly; stdout on devnull keeps the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

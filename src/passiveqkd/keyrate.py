@@ -188,18 +188,10 @@ def lambda_A(scheme: PassiveSchemeParams) -> tuple[float, SchemeCase]:
     Case II: monitor arm weaker, needs lam <= t_B * t_D / (1 - t_B).
     Case III: monitor arm stronger (t_B * t_D > 1 - t_B).
     """
-    ratio = scheme.t_B * scheme.t_D / (1.0 - scheme.t_B)
-    value = scheme.lam / ratio
-    if value > 1.0 + 1e-12:
-        raise ValueError(
-            f"lambda_A = {value:.6g} > 1: configuration violates the passive-scheme "
-            "case preconditions"
-        )
     if abs(scheme.t_B * scheme.t_D - (1.0 - scheme.t_B)) < 1e-12:
         return scheme.lam, SchemeCase.I
-    if ratio > 1.0:
-        return value, SchemeCase.III
-    return value, SchemeCase.II
+    case = SchemeCase.III if scheme.t_B * scheme.t_D > 1.0 - scheme.t_B else SchemeCase.II
+    return scheme.lambda_a, case
 
 
 def pna_rate_bb84(

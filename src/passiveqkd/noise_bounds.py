@@ -15,6 +15,7 @@ with p_l a lower confidence bound on the window-hit probability.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,6 @@ __all__ = [
 ]
 
 _DEGENERATE_EPS = 1e-15
-_FULL_SCAN_LIMIT = 2_000_000
-_NEIGHBORHOOD = 2000
 
 
 @dataclass(frozen=True)
@@ -97,11 +96,14 @@ class UntaggedBound:
 def poisson_bbar(w: ThresholdWindow, gamma: float) -> float:
     """Worst-case noise mass landing in the window from below-threshold signal.
 
-    max over m in [0, m1 - 1] of P(noise in [m1 - m, m2 - m]) for noise ~
-    Poisson(gamma).  The windowed mass is unimodal in the offset (Poisson is
-    log-concave), so the scan can be confined to a neighborhood of the
-    offset that centers the window on the noise mode; small m1 gets a full
-    scan instead.
+    max over m in [0, m1 - 1] of P(noise in [m1 - m, m2 - m]), noise ~
+    Poisson(gamma).  In the offset s = m1 - m, with w = m2 - m1, the mass
+    P(s <= d <= s + w) rises exactly while P(d = s + w + 1) > P(d = s), i.e.
+    (w + 1) ln gamma > lnGamma(s + w + 2) - lnGamma(s + 1), whose right side
+    increases in s.  Bisection finds where it stops.  Near there both sides
+    lie in [0, L], L = lnGamma(m1 + w + 2), and err by under 4 eps L, and the
+    right side grows by >= (w + 1)/(m1 + w + 1) per step, so the maximum is
+    taken within 2 + 8 eps L (m1 + w + 1)/(w + 1) steps of that s.
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
@@ -109,21 +111,15 @@ def poisson_bbar(w: ThresholdWindow, gamma: float) -> float:
     if m1 == 0:
         return 0.0
     width = m2 - m1
-    # offsets s = m1 - m run over [1, m1]; mass(s) = P(s <= d <= s + width)
-    if m1 <= _FULL_SCAN_LIMIT:
-        s = np.arange(1, m1 + 1)
-    else:
-        s_center = int(round(gamma - width / 2.0))
-        # second-order centering correction grows like width^2 / gamma
-        half_span = _NEIGHBORHOOD + int(width * width / (4.0 * gamma))
-        s = np.unique(
-            np.concatenate(
-                [
-                    np.clip(np.arange(s_center - half_span, s_center + half_span + 1), 1, m1),
-                    [1, m1],
-                ]
-            )
-        )
+    log_ratio = (width + 1) * math.log(gamma)
+
+    def falling(s: int) -> bool:  # mass(s + 1) <= mass(s)
+        return log_ratio <= math.lgamma(s + width + 2) - math.lgamma(s + 1)
+
+    s_hat = 1 + bisect_left(range(1, m1), True, key=falling)
+    err = 8.0 * np.finfo(float).eps * math.lgamma(m1 + width + 2)
+    half = 2 + int(err * (m1 + width + 1) / (width + 1))
+    s = np.arange(max(1, s_hat - half), min(m1, s_hat + half) + 1)
     mass = stats.poisson.cdf(s + width, gamma) - stats.poisson.cdf(s - 1, gamma)
     return float(np.max(mass))
 

@@ -12,6 +12,7 @@ independent cross-check of that closed form.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +26,6 @@ __all__ = [
     "build_lp_instance",
     "simplex_solve",
 ]
-
-_SCAN_CHUNK = 1 << 22
-_FULL_SCAN_MAX = 1 << 26
-_COARSE_POINTS = 100_000
 
 
 class InfeasibleError(ValueError):
@@ -70,10 +67,26 @@ def coefficient_a(k, eta: float):
 def maximize_ratio(eta: float, mu: float, k_cap: int | None = None) -> WorstCaseResult:
     """Upper bound on the post-attenuation multiphoton probability.
 
-    Scans a_k / k over k in [max(2, ceil(mu)), k_cap] (full scan; unimodality
-    is not assumed) and returns a_{k_s} * mu / k_s together with the
-    optimal two-point source distribution.  The feasibility constraint
-    P(n=0) = 1 - mu/k_s >= 0 forces k_s >= mu.
+    Returns mu a_{k_s} / k_s and the source on {0, k_s}, where k_s >= mu (so
+    P(n=0) >= 0) is the smallest maximizer of a_k / k on [max(2, ceil(mu)), k_cap).
+
+    Unimodality: with q = 1 - eta, d_k = a_{k+1} - a_k = k eta^2 q^(k-1), a_k / k
+    is the mean of d_0 = 0, ..., d_{k-1}, and d rises, then falls, as
+    d_{j+1} / d_j = (j + 1) q / j decreases.  a_k / k rises at k iff k d_k > a_k,
+    true while d_k >= d_{k-1} (d_k is then the largest term, and d_0 < d_k).  Once
+    false, d falls, so d_{k+1} < d_k <= (a_k + d_k)/(k + 1) = a_{k+1}/(k + 1) and it
+    stays false.  Bisection finds its first false k, k_hat, the smallest maximizer.
+
+    Rounding: computed ratios are flat at the top; k_s is their first maximum
+    over k_hat -+ h, h = 2 + floor(5 k_hat sqrt(eps)).  There a computed
+    a_k / k errs by under 4.5 eps of its own (a ~ 0.535 is 0.834 minus 0.298,
+    exps of rounded exponents near -1.79), so only k within 9 eps of the
+    exact maximum can win.  ln(a_k / k) is concave in ln k (for small eta,
+    ln(eta g(x)) with x = k eta, g(x) = (1 - e^-x - x e^-x)/x, has slope
+    x^2/(e^x - 1 - x) - 1, decreasing) with half-curvature c = (x* - 1)/2 ~
+    0.397 at x* ~ 1.79, more for larger eta: an offset by the factor 1 + rho
+    from the maximizer, or from k_lo, costs at least c rho^2 > 9 eps once
+    rho > 4.8 sqrt(eps).  The 2 covers the step and the rounded crossing.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must be in (0, 1)")
@@ -87,20 +100,14 @@ def maximize_ratio(eta: float, mu: float, k_cap: int | None = None) -> WorstCase
     if k_lo > k_cap:
         raise ValueError(f"k_cap={k_cap} below feasibility threshold ceil(mu)={k_lo}")
 
-    if k_cap - k_lo <= _FULL_SCAN_MAX:
-        best_k, best_val = _scan_range(eta, k_lo, k_cap)
-    else:
-        # a_k/k varies on the scale of k itself, so a dense log-spaced grid
-        # localizes the maximum; an exhaustive pass then covers the bracket
-        # between the neighboring grid points.
-        grid = np.unique(
-            np.round(np.geomspace(k_lo, k_cap, _COARSE_POINTS)).astype(np.int64)
-        )
-        ratios = coefficient_a(grid, eta) / grid
-        i = int(np.argmax(ratios))
-        lo = int(grid[max(0, i - 1)])
-        hi = int(grid[min(grid.size - 1, i + 1)])
-        best_k, best_val = _scan_range(eta, lo, hi)
+    log1m = math.log1p(-eta)
+
+    def falling(k: int) -> bool:  # a_{k+1}/(k+1) <= a_k/k, i.e. k d_k <= a_k
+        return k * k * eta * eta * math.exp((k - 1) * log1m) <= coefficient_a(k, eta)
+
+    k_hat = k_lo + bisect_left(range(k_lo, k_cap), True, key=falling)
+    half = 2 + int(5.0 * k_hat * math.sqrt(np.finfo(float).eps))
+    best_k, best_val = _scan_range(eta, max(k_lo, k_hat - half), min(k_cap, k_hat + half))
     if best_k == k_cap:
         raise ValueError(
             f"maximum of a_k/k not bracketed below k_cap={k_cap}; increase k_cap"
@@ -114,17 +121,11 @@ def maximize_ratio(eta: float, mu: float, k_cap: int | None = None) -> WorstCase
 
 
 def _scan_range(eta: float, k_lo: int, k_hi: int) -> tuple[int, float]:
-    """Exhaustive chunked argmax of a_k/k over [k_lo, k_hi]; ties to smaller k."""
-    best_val = -np.inf
-    best_k = k_lo
-    for start in range(k_lo, k_hi + 1, _SCAN_CHUNK):
-        ks = np.arange(start, min(start + _SCAN_CHUNK, k_hi + 1))
-        ratios = coefficient_a(ks, eta) / ks
-        i = int(np.argmax(ratios))
-        if ratios[i] > best_val:
-            best_val = float(ratios[i])
-            best_k = int(ks[i])
-    return best_k, best_val
+    """Exhaustive argmax of a_k/k over [k_lo, k_hi]; ties to smaller k."""
+    ks = np.arange(k_lo, k_hi + 1)
+    ratios = coefficient_a(ks, eta) / ks
+    i = int(np.argmax(ratios))
+    return int(ks[i]), float(ratios[i])
 
 
 def build_lp_instance(eta: float, mu: float, n_cols: int) -> LpInstance:

@@ -2,11 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import passiveqkd
 from passiveqkd.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -234,3 +238,23 @@ def test_bundled_scenario_table_matches_golden(name):
     out = io.StringIO()
     assert run_scenario(name, stream=out) == EXIT_OK
     assert out.getvalue() == (GOLDEN / f"{name}.tsv").read_text(encoding="utf-8")
+
+
+def test_run_into_closed_pipe_ends_quietly():
+    # the read end is closed before the child starts, so its first write to
+    # stdout fails with EPIPE, as under `passiveqkd run ideal-apn | head -2`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(passiveqkd.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "passiveqkd.cli", "run", "ideal-apn"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

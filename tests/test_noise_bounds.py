@@ -17,11 +17,10 @@ from passiveqkd import (
 
 
 def bbar_brute_force(m1, m2, gamma):
-    best = 0.0
-    for m in range(m1):
-        s = m1 - m
-        best = max(best, stats.poisson.cdf(m2 - m, gamma) - stats.poisson.cdf(s - 1, gamma))
-    return best
+    # offsets s = m1 - m of the signal values m = 0..m1-1 below the window:
+    # mass(s) = cdf[s + width] - cdf[s - 1]
+    cdf = stats.poisson.cdf(np.arange(m2 + 1), gamma)
+    return float(np.max(cdf[m2 - m1 + 1 :] - cdf[:m1], initial=0.0))
 
 
 def test_window_validation():
@@ -45,14 +44,31 @@ def test_poisson_bbar_zero_threshold():
     assert poisson_bbar(ThresholdWindow(0.0, 10.0), 3.0) == 0.0
 
 
-def test_poisson_bbar_neighborhood_path(monkeypatch):
-    import passiveqkd.noise_bounds as nb
+def test_poisson_bbar_matches_brute_force_on_random_windows():
+    # poisson_bbar evaluates the same masses at a subset of the offsets that
+    # contains the exact maximizer, so it may fall short of the scan only by
+    # the rounding of masses on the flat top
+    rng = np.random.default_rng(11)
+    windows = []
+    for _ in range(60):
+        m1 = int(rng.integers(1, 3000))
+        windows.append((m1, m1 + int(rng.integers(1, 800)), float(10 ** rng.uniform(-1, 4))))
+    windows.append((2_100_000, 2_105_000, 2.0e6))
+    for m1, m2, gamma in windows:
+        got = poisson_bbar(ThresholdWindow(float(m1), float(m2)), gamma)
+        ref = bbar_brute_force(m1, m2, gamma)
+        assert ref - 2 * np.finfo(float).eps <= got <= ref
 
-    w = ThresholdWindow(5000.0, 5600.0)
-    gamma = 900.0
-    full = poisson_bbar(w, gamma)
-    monkeypatch.setattr(nb, "_FULL_SCAN_LIMIT", 10)
-    assert poisson_bbar(w, gamma) == pytest.approx(full, abs=1e-14)
+
+def test_poisson_bbar_narrow_window_far_out():
+    # at m1 = gamma = 1e8 with width 1 the rounded lgamma crossing lands 8
+    # offsets from the maximizer; the mass is unimodal in the offset s, so
+    # the last 3000 offsets below s = m1 hold the maximum
+    m1, gamma = 100_000_000, 1e8
+    s = np.arange(m1 - 3000, m1 + 1)
+    ref = float(np.max(stats.poisson.cdf(s + 1, gamma) - stats.poisson.cdf(s - 1, gamma)))
+    got = poisson_bbar(ThresholdWindow(float(m1), float(m1 + 1)), gamma)
+    assert ref - 2 * np.finfo(float).eps <= got <= ref
 
 
 def test_poisson_bbar_below_cdf():

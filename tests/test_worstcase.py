@@ -1,5 +1,7 @@
 """Worst-case multiphoton bound and the simplex cross-check."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -12,6 +14,7 @@ from passiveqkd import (
     maximize_ratio,
     simplex_solve,
 )
+from passiveqkd.worstcase import _scan_range
 
 
 def a_reference(k, eta):
@@ -72,14 +75,86 @@ def test_maximize_ratio_unbracketed_maximum():
         maximize_ratio(1e-4, 10.0, k_cap=100)
 
 
-def test_maximize_ratio_coarse_grid_matches_full_scan(monkeypatch):
-    import passiveqkd.worstcase as wc
+def assert_matches_full_scan(eta, mu, k_cap=None):
+    # oracle: one exhaustive argmax of the computed a_k/k over the whole
+    # feasible range [max(2, ceil(mu)), k_cap], first maximum on ties
+    cap = int(math.ceil(20.0 / eta)) if k_cap is None else k_cap
+    k, ratio = _scan_range(eta, max(2, math.ceil(mu)), cap)
+    if k == cap:
+        with pytest.raises(ValueError, match="not bracketed"):
+            maximize_ratio(eta, mu, k_cap)
+        return
+    res = maximize_ratio(eta, mu, k_cap)
+    assert res.k_star == k
+    assert res.p_multi_upper == ratio * mu
 
-    full = maximize_ratio(2e-4, 5.0)
-    monkeypatch.setattr(wc, "_FULL_SCAN_MAX", 1000)
-    coarse = maximize_ratio(2e-4, 5.0)
-    assert coarse.k_star == full.k_star
-    assert coarse.p_multi_upper == full.p_multi_upper
+
+def crossing_etas(k):
+    # the adjacent floats around the eta at which a_{k+1}/(k+1) = a_k/k: the
+    # computed ratios of k and k + 1 tie or differ by rounding there
+    def rising(eta):
+        r = coefficient_a(np.array([k, k + 1]), eta) / np.array([k, k + 1])
+        return r[1] > r[0]
+
+    lo, hi = 1e-6, 0.9
+    while np.nextafter(lo, 1.0) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if rising(mid) else (lo, mid)
+    return [float(np.nextafter(lo, 0.0)), lo, hi, float(np.nextafter(hi, 1.0))]
+
+
+def test_maximize_ratio_matches_full_scan_on_random_cases():
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        eta = float(np.exp(rng.uniform(np.log(1e-4), np.log(0.3))))
+        # mostly left of the peak near 1.79/eta, some beyond it
+        mu = float(rng.uniform(0.0, 0.5 / eta if rng.random() < 0.8 else 3.0 / eta))
+        k_cap = None
+        if rng.random() < 0.5:
+            k_cap = max(math.ceil(mu), 2, int(rng.uniform(0.5, 3.0) * 1.8 / eta))
+        assert_matches_full_scan(eta, mu, k_cap)
+
+
+def test_maximize_ratio_matches_full_scan_at_ties():
+    for k in (8, 21, 40, 150, 1200, 2500, 10000):
+        for eta in crossing_etas(k):
+            assert_matches_full_scan(eta, 1.0)
+            assert_matches_full_scan(eta, 1.0, k_cap=k + 1)
+
+
+def test_maximize_ratio_matches_full_scan_at_k_cap_edge():
+    for eta in (0.3, 0.05, 3e-3, 2e-4):
+        k_star = maximize_ratio(eta, 1.0).k_star
+        for k_cap in (k_star - 1, k_star, k_star + 1, k_star + 2):
+            assert_matches_full_scan(eta, 1.0, k_cap)
+            # the feasibility threshold at the cap itself
+            assert_matches_full_scan(eta, float(k_cap), k_cap)
+            assert_matches_full_scan(eta, k_cap - 0.5, k_cap)
+
+
+def test_maximize_ratio_matches_scan_on_wide_flat_tops():
+    # at k* ~ 1.8/eta (2e7 to 6e8 here) the computed a_k/k is flat to rounding
+    # over up to a hundred k; 2e5 steps away the exact ratio is at least 4e-8
+    # below its maximum, so a scan of that window finds the first computed one
+    for eta in (1e-7, 3.3e-8, 1.2e-8, 2.9e-9):
+        res = maximize_ratio(eta, 0.1 / eta)
+        k0 = round(1.7932821329007610 / -math.log1p(-eta))
+        k, ratio = _scan_range(eta, k0 - 200_000, k0 + 200_000)
+        assert (res.k_star, res.p_multi_upper) == (k, ratio * (0.1 / eta))
+
+
+def test_maximize_ratio_far_beyond_a_full_scan():
+    # k* ~ 1.8e12: the closed-form sandwich mu a(k0)/k0 <= p <= mu ell g(x*),
+    # with g(x) = (1 - e^-x - x e^-x)/x maximal at x* (e^x = 1 + x + x^2)
+    eta, mu = 1e-12, 1e11
+    res = maximize_ratio(eta, mu)
+    ell = -math.log1p(-eta)
+    x_star = 1.7932821329007610
+    k0 = round(x_star / ell)
+    g_star = (-math.expm1(-x_star) - x_star * math.exp(-x_star)) / x_star
+    assert mu * coefficient_a(k0, eta) / k0 <= res.p_multi_upper <= mu * ell * g_star
+    # the first computed maximum lies within the docstring's 4.8 sqrt(eps) k
+    assert abs(res.k_star - k0) <= 5.0 * math.sqrt(np.finfo(float).eps) * k0
 
 
 def test_maximize_ratio_scales_linearly_in_mu():
