@@ -448,29 +448,30 @@ def main(argv=None) -> int:
     sub.add_parser("list-scenarios", help="show bundled scenarios")
 
     args = parser.parse_args(argv)
-    if args.command == "list-scenarios":
-        for name in bundled_scenarios():
-            print(name)
-        return EXIT_OK
-    if args.command == "validate":
-        try:
-            report = validate_scenario_dict(load_scenario(args.scenario))
-        except ScenarioError as exc:
-            print(f"I/O error: {exc}", file=sys.stderr)
-            return EXIT_IO
-        print(report.to_json())
-        return EXIT_OK if report.ok else EXIT_VALIDATION
     try:
-        status = run_scenario(
-            args.scenario,
-            seed=args.seed,
-            threads=args.threads,
-            output=args.output,
-            alpha=args.alpha,
-        )
+        if args.command == "list-scenarios":
+            for name in bundled_scenarios():
+                print(name)
+            status = EXIT_OK
+        elif args.command == "validate":
+            try:
+                report = validate_scenario_dict(load_scenario(args.scenario))
+            except ScenarioError as exc:
+                print(f"I/O error: {exc}", file=sys.stderr)
+                return EXIT_IO
+            print(report.to_json())
+            status = EXIT_OK if report.ok else EXIT_VALIDATION
+        else:
+            status = run_scenario(
+                args.scenario,
+                seed=args.seed,
+                threads=args.threads,
+                output=args.output,
+                alpha=args.alpha,
+            )
         sys.stdout.flush()
     except BrokenPipeError:
-        # reader gone (`run ... | head`): end quietly; stdout on devnull keeps the exit flush quiet
+        # reader gone (`... | head`): end quietly; stdout on devnull keeps the exit flush quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return status

@@ -8,8 +8,9 @@ f * H2(E) per detected bit, and only the untagged remainder distills key:
 
 The worst-case Delta differs per monitoring mode (average-photon-number
 monitor, two-threshold analyzer, trusted source), which is what the
-functions below encode.  The three-intensity decoy assemblies at the end
-restrict the standard signal/decoy elimination to window-selected pulses.
+functions below encode.  Both three-intensity decoy rates at the end run
+one signal/decoy elimination: on window-selected untagged pulses with
+bracketed photon-number pmfs, and on a trusted source with exact ones.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
-from scipy.special import xlogy
+from scipy.special import gammaln, xlogy
 
 from .noise_bounds import ThresholdWindow
 from .photon_stats import PassiveSchemeParams
@@ -228,8 +230,6 @@ def pna_rate_bb84(
 
 def _log_binom_pmf(m: float, n: int, lam: float) -> float:
     # log C(m, n) + n log lam + (m - n) log(1 - lam), for integer-like m
-    from scipy.special import gammaln
-
     return float(
         gammaln(m + 1)
         - gammaln(n + 1)
@@ -255,6 +255,70 @@ def _binom_pmf_range(n: int, lam: float, m1: float, m2: float) -> tuple[float, f
     return min(vals[:2]), max(vals)
 
 
+def _poisson_pmf(nu: float):
+    """The exact Poisson(nu) pmf at n, as its own (lo, hi) bracket."""
+    return lambda n: (nu**n * math.exp(-nu),) * 2
+
+
+def _decoy_elimination(signal, decoy, c: float, Y0: float, e0: float, f_ec: float) -> float:
+    """Signal/weak-decoy/vacuum elimination on untagged pulses; the key rate.
+
+    The elimination of Ma, Qi, Zhao and Lo (PRA 72, 012326, 2005), run on
+    the untagged pulses of Zhao, Qi and Lo (PRA 77, 052327, 2008).
+    ``signal`` and ``decoy`` are each (Q, E, u, pmf): the observed gain and
+    QBER, the untagged fraction u = 1 - delta, and pmf(n), the (lo, hi)
+    bracket of an untagged pulse's n-photon probability p(n) for n = 0, 1
+    (called only once both fractions are positive, so a fully tagged point
+    evaluates no pmf).  ``c`` must satisfy c >= p_d(n) / p_s(n) for every
+    n >= 2; Y0 and e0 are the vacuum yield and its error rate.
+
+    Untagged pulses of both intensities share yields Y_n and error rates
+    e_n, so q = sum_n p(n) Y_n, and Q = u q + T with a tagged gain
+    0 <= T <= 1 - u whose errors are at most T.  Each bracket end is taken
+    where it loosens the bound it enters:
+
+    * q_d >= Q_d - (1 - u_d) and q_s <= Q_s / u_s, from 0 <= T <= 1 - u.
+    * y1 <= Y_1: q_d - c q_s = sum_n (p_d(n) - c p_s(n)) Y_n, and every
+      n >= 2 term is <= 0, so q_d - c q_s <= (p_d0_hi - c p_s0_lo) Y0 +
+      (p_d1_hi - c p_s1_lo) Y_1, as Y0, Y_1 >= 0.  With that coefficient
+      of Y_1 positive, Y_1 >= (q_d_lo - c q_s_hi - (p_d0_hi - c p_s0_lo)
+      Y0) / (p_d1_hi - c p_s1_lo); Y_1 <= 1 caps it.
+    * q1 <= u_s p_s(1) Y_1, the signal's untagged single-photon gain:
+      q1 = u_s p_s1_lo y1.
+    * e1 >= e_1: E_d Q_d >= u_d (p_d(0) Y0 e0 + p_d(1) Y_1 e_1), so
+      p_d(1) Y_1 e_1 <= E_d Q_d / u_d - p_d0_lo Y0 e0, and dividing by the
+      smaller p_d1_lo y1 gives e1; it is capped at 1/2.
+
+    So the rate 1/2 [-Q_s f_ec H2(E_s) + q1 (1 - H2(e1))], floored at 0,
+    is at most the one that the true u_s p_s(1) Y_1 and e_1 would give.  It
+    is 0 when a fraction is 0 (all may be tagged), when p_d1_hi - c p_s1_lo
+    is not positive, or when y1 or q1 is not positive.
+    """
+    Q_s, E_s, omd_s, pmf_s = signal
+    Q_d, E_d, omd_d, pmf_d = decoy
+    if omd_s <= 0.0 or omd_d <= 0.0:
+        return 0.0
+    (p_s0_lo, _), (p_s1_lo, _) = pmf_s(0), pmf_s(1)
+    (p_d0_lo, p_d0_hi), (p_d1_lo, p_d1_hi) = pmf_d(0), pmf_d(1)
+
+    q_d_lo = max(0.0, Q_d - (1.0 - omd_d))
+    q_s_hi = Q_s / omd_s
+    denom = p_d1_hi - c * p_s1_lo
+    if denom <= 0.0:
+        return 0.0
+    y1_lower = (q_d_lo - c * q_s_hi - (p_d0_hi - c * p_s0_lo) * Y0) / denom
+    if y1_lower <= 0.0:
+        return 0.0
+    y1_lower = min(1.0, y1_lower)
+    q1_lower = omd_s * p_s1_lo * y1_lower
+    if q1_lower <= 0.0:
+        return 0.0
+    e1_upper = (E_d * Q_d / omd_d - e0 * Y0 * p_d0_lo) / (y1_lower * p_d1_lo)
+    e1_upper = min(0.5, max(0.0, e1_upper))
+    rate = 0.5 * (-Q_s * f_ec * binary_entropy(E_s) + q1_lower * (1.0 - binary_entropy(e1_upper)))
+    return max(0.0, rate)
+
+
 def decoy_rate_untagged(
     scheme: PassiveSchemeParams,
     ch: ChannelParams,
@@ -267,85 +331,28 @@ def decoy_rate_untagged(
 
     The photon statistics of an untagged pulse at the encoder output are
     an unknown mixture of Binomial(m, lambda_A_x) over m in [m1, m2], so
-    every pmf entering the standard signal/decoy elimination is replaced by
-    its security-favoring extreme over that bracket:
-
-    * the n >= 2 elimination ratio c is maximized (largest m, n = 2),
-    * the measured gains are corrected for the Eve-controlled tagged
-      fraction in whichever direction loosens the single-photon yield,
-    * vacuum/single-photon pmfs take their bracket endpoint that weakens
-      each bound.
-
-    Infeasible intermediate bounds collapse to a zero-rate point.
+    the vacuum and single-photon pmfs enter the elimination as their
+    bracket over m, and c is the largest n >= 2 ratio p_d(n) / p_s(n).
     """
     for omd in (one_minus_delta_s, one_minus_delta_d):
         if not 0.0 <= omd <= 1.0:
             raise ValueError("untagged fractions must be in [0, 1]")
-    m1, m2 = w.m1, w.m2
-    if m1 < 0:
-        m1 = 0.0
-    base = replace(scheme, lam=settings.lambda_s)
-    lam_s = lambda_A(base)[0]
+    m1, m2 = max(0.0, w.m1), w.m2
+    lam_s = lambda_A(replace(scheme, lam=settings.lambda_s))[0]
     lam_d = lambda_A(replace(scheme, lam=settings.lambda_d))[0]
+    Q_s, E_s = channel_gain_qber(scheme.mu * (1.0 - scheme.t_B) * settings.lambda_s, ch)
+    Q_d, E_d = channel_gain_qber(scheme.mu * (1.0 - scheme.t_B) * settings.lambda_d, ch)
 
-    nu_s_true = scheme.mu * (1.0 - scheme.t_B) * settings.lambda_s
-    nu_d_true = scheme.mu * (1.0 - scheme.t_B) * settings.lambda_d
-    Q_s, E_s = channel_gain_qber(nu_s_true, ch)
-    Q_d, E_d = channel_gain_qber(nu_d_true, ch)
-
-    delta_s = 1.0 - one_minus_delta_s
-    delta_d = 1.0 - one_minus_delta_d
-
-    def zero() -> RatePoint:
-        return RatePoint(L=ch.L, rate=0.0, delta_bar=delta_s, Q=Q_s, E=E_s)
-
-    if one_minus_delta_s <= 0.0 or one_minus_delta_d <= 0.0:
-        return zero()
-
-    # Bracketed pmfs for n = 0, 1 at both intensities.
-    p_s0_lo, p_s0_hi = _binom_pmf_range(0, lam_s, m1, m2)
-    p_d0_lo, p_d0_hi = _binom_pmf_range(0, lam_d, m1, m2)
-    p_s1_lo, p_s1_hi = _binom_pmf_range(1, lam_s, m1, m2)
-    p_d1_lo, p_d1_hi = _binom_pmf_range(1, lam_d, m1, m2)
-
-    # Elimination constant: c >= p_d(n) / p_s(n) for every n >= 2 and every
-    # admissible mixture.  The pointwise binomial ratio decreases in n and
-    # increases in m, so the maximum sits at n = 2, m = m2.
-    log_r = (
-        math.log(lam_d)
-        + math.log1p(-lam_s)
-        - math.log(lam_s)
-        - math.log1p(-lam_d)
-    )
+    # The pointwise binomial ratio p_d(n) / p_s(n) decreases in n and
+    # increases in m, so its maximum over n >= 2 sits at n = 2, m = m2.
+    log_r = math.log(lam_d) + math.log1p(-lam_s) - math.log(lam_s) - math.log1p(-lam_d)
     c = math.exp(2.0 * log_r + m2 * (math.log1p(-lam_d) - math.log1p(-lam_s)))
-
-    # Untagged gains per untagged pulse: q_x = Q_x(untagged) / (1 - delta_x).
-    # Tagged events contribute between 0 and delta_x to the raw gain.
-    q_d_lo = max(0.0, Q_d - delta_d)
-    q_s_hi = Q_s / one_minus_delta_s
-
-    denom = p_d1_hi - c * p_s1_lo
-    if denom <= 0.0:
-        return zero()
-    numer = q_d_lo - c * q_s_hi - (p_d0_hi - c * p_s0_lo) * ch.Y0
-    y1_lower = numer / denom
-    if y1_lower <= 0.0:
-        return zero()
-    y1_lower = min(1.0, y1_lower)
-
-    q1_lower = one_minus_delta_s * p_s1_lo * y1_lower
-    if q1_lower <= 0.0:
-        return zero()
-
-    e1_numer = E_d * Q_d / one_minus_delta_d - ch.e0 * ch.Y0 * p_d0_lo
-    e1_upper = e1_numer / (y1_lower * p_d1_lo)
-    e1_upper = min(0.5, max(0.0, e1_upper))
-
-    rate = 0.5 * (
-        -Q_s * settings.f_ec * binary_entropy(E_s)
-        + q1_lower * (1.0 - binary_entropy(e1_upper))
+    rate = _decoy_elimination(
+        (Q_s, E_s, one_minus_delta_s, partial(_binom_pmf_range, lam=lam_s, m1=m1, m2=m2)),
+        (Q_d, E_d, one_minus_delta_d, partial(_binom_pmf_range, lam=lam_d, m1=m1, m2=m2)),
+        c, ch.Y0, ch.e0, settings.f_ec,
     )
-    return RatePoint(L=ch.L, rate=max(0.0, rate), delta_bar=delta_s, Q=Q_s, E=E_s)
+    return RatePoint(L=ch.L, rate=rate, delta_bar=1.0 - one_minus_delta_s, Q=Q_s, E=E_s)
 
 
 def decoy_rate_trusted(
@@ -353,24 +360,17 @@ def decoy_rate_trusted(
 ) -> RatePoint:
     """Three-intensity decoy rate for a trusted Poissonian source.
 
-    Standard signal/weak-decoy elimination: the weak decoy bounds the
-    single-photon yield from below and its error rate from above, and only
-    the single-photon gain distills key.
+    The same elimination with nothing tagged and the exact Poisson pmfs.
+    Their ratio (nu_d / nu_s)^n e^(nu_s - nu_d) falls with n, so c is its
+    value at n = 2.
     """
     if not 0.0 < nu_d < nu_s:
         raise ValueError("need 0 < nu_d < nu_s")
     Q_s, E_s = channel_gain_qber(nu_s, ch)
     Q_d, E_d = channel_gain_qber(nu_d, ch)
-    y1 = (nu_s / (nu_s * nu_d - nu_d**2)) * (
-        Q_d * math.exp(nu_d)
-        - Q_s * math.exp(nu_s) * (nu_d / nu_s) ** 2
-        - (nu_s**2 - nu_d**2) / nu_s**2 * ch.Y0
+    rate = _decoy_elimination(
+        (Q_s, E_s, 1.0, _poisson_pmf(nu_s)),
+        (Q_d, E_d, 1.0, _poisson_pmf(nu_d)),
+        (nu_d / nu_s) ** 2 * math.exp(nu_s - nu_d), ch.Y0, ch.e0, f_ec,
     )
-    if y1 <= 0.0:
-        return RatePoint(L=ch.L, rate=0.0, delta_bar=0.0, Q=Q_s, E=E_s)
-    y1 = min(1.0, y1)
-    e1 = (E_d * Q_d * math.exp(nu_d) - ch.e0 * ch.Y0) / (y1 * nu_d)
-    e1 = min(0.5, max(0.0, e1))
-    q1 = y1 * nu_s * math.exp(-nu_s)
-    rate = 0.5 * (-Q_s * f_ec * binary_entropy(E_s) + q1 * (1.0 - binary_entropy(e1)))
-    return RatePoint(L=ch.L, rate=max(0.0, rate), delta_bar=0.0, Q=Q_s, E=E_s)
+    return RatePoint(L=ch.L, rate=rate, delta_bar=0.0, Q=Q_s, E=E_s)

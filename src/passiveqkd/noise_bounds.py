@@ -93,6 +93,17 @@ class UntaggedBound:
     degenerate: bool = False
 
 
+def _untagged_bound(p_l: float, b_out: float, b_in: float) -> UntaggedBound:
+    """clamp_[0,1]((p_l - b_out) / (b_in - b_out)), where b_in and b_out cap
+    the window-hit probability of a pulse whose signal is inside and outside
+    the window; b_in - b_out below _DEGENERATE_EPS means the noise alone
+    saturates the window, reported as 0 with the degenerate flag set."""
+    denom = b_in - b_out
+    if denom < _DEGENERATE_EPS:
+        return UntaggedBound(0.0, degenerate=True)
+    return UntaggedBound(min(1.0, max(0.0, (p_l - b_out) / denom)))
+
+
 def poisson_bbar(w: ThresholdWindow, gamma: float) -> float:
     """Worst-case noise mass landing in the window from below-threshold signal.
 
@@ -144,11 +155,7 @@ def untagged_lower_bound_poisson(
     bbar = poisson_bbar(w, gamma)
     b = poisson_b(m2, gamma)
     assert b >= bbar - 1e-12, "ordering b(m2) >= bbar(m1, m2) violated"
-    denom = b - bbar
-    if denom < _DEGENERATE_EPS:
-        return UntaggedBound(0.0, degenerate=True)
-    value = (p_measured_lower - bbar) / denom
-    return UntaggedBound(min(1.0, max(0.0, value)))
+    return _untagged_bound(p_measured_lower, bbar, b)
 
 
 def gaussian_b123(w: ThresholdWindow, sigma2: float) -> tuple[float, float, float]:
@@ -174,8 +181,4 @@ def untagged_lower_bound_gaussian(
 ) -> UntaggedBound:
     """Gaussian-noise analog of the Poissonian bound, using (b1, b2)."""
     b1, b2, _ = gaussian_b123(w, sigma2)
-    denom = b2 - b1
-    if denom < _DEGENERATE_EPS:
-        return UntaggedBound(0.0, degenerate=True)
-    value = (p_measured_lower - b1) / denom
-    return UntaggedBound(min(1.0, max(0.0, value)))
+    return _untagged_bound(p_measured_lower, b1, b2)

@@ -240,7 +240,12 @@ def test_bundled_scenario_table_matches_golden(name):
     assert out.getvalue() == (GOLDEN / f"{name}.tsv").read_text(encoding="utf-8")
 
 
-def test_run_into_closed_pipe_ends_quietly():
+@pytest.mark.parametrize(
+    "command",
+    [["run", "ideal-apn"], ["list-scenarios"], ["validate", "ideal-apn"]],
+    ids=["run", "list-scenarios", "validate"],
+)
+def test_run_into_closed_pipe_ends_quietly(command):
     # the read end is closed before the child starts, so its first write to
     # stdout fails with EPIPE, as under `passiveqkd run ideal-apn | head -2`
     read_end, write_end = os.pipe()
@@ -248,7 +253,7 @@ def test_run_into_closed_pipe_ends_quietly():
     env = dict(os.environ, PYTHONPATH=str(Path(passiveqkd.__file__).parents[1]))
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "passiveqkd.cli", "run", "ideal-apn"],
+            [sys.executable, "-m", "passiveqkd.cli", *command],
             stdout=write_end,
             stderr=subprocess.PIPE,
             env=env,
