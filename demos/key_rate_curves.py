@@ -7,7 +7,6 @@ distance; a fully trusted Poissonian source is the upper reference.
 """
 
 import numpy as np
-from scipy import stats
 
 from passiveqkd import (
     ChannelParams,
@@ -17,6 +16,7 @@ from passiveqkd import (
     gllp_rate,
     maximize_ratio,
     pna_rate_bb84,
+    poisson_window_mass,
     trusted_delta_bar,
 )
 
@@ -27,7 +27,7 @@ window = ThresholdWindow(677_160.0, 690_840.0)  # +-1% around the monitor mean
 mu_out = scheme.mu * scheme.eta
 p_multi = maximize_ratio(scheme.eta, scheme.mu).p_multi_upper
 mean_m = scheme.mu * scheme.xi
-omd = float(stats.poisson.cdf(window.m2, mean_m) - stats.poisson.cdf(window.m1 - 1, mean_m))
+omd = float(poisson_window_mass(window.m1, window.m2, mean_m))
 
 print(f"output intensity {mu_out:g}, adversarial P(n>1) <= {p_multi:.6f}, "
       f"windowed mass {omd:.6f}\n")

@@ -41,6 +41,7 @@ from .noise_bounds import (
     gaussian_b123,
     poisson_b,
     poisson_bbar,
+    poisson_window_mass,
     untagged_lower_bound_gaussian,
     untagged_lower_bound_poisson,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "NoiseModel",
     "ThresholdWindow",
     "UntaggedBound",
+    "poisson_window_mass",
     "poisson_bbar",
     "poisson_b",
     "untagged_lower_bound_poisson",

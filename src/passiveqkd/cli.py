@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
 import yaml
-from scipy import stats
 
 from . import __version__
 from .keyrate import (
@@ -38,7 +37,7 @@ from .keyrate import (
     trusted_delta_bar,
 )
 from .montecarlo import PoissonianSource, RunConfig, run_pipeline
-from .noise_bounds import GaussianNoise, PoissonNoise, ThresholdWindow
+from .noise_bounds import GaussianNoise, PoissonNoise, ThresholdWindow, poisson_window_mass
 from .photon_stats import PassiveSchemeParams
 from .worstcase import InfeasibleError, maximize_ratio
 
@@ -316,12 +315,8 @@ def _untagged_fraction(s, threads: int):
     if s.config is not None:
         result = run_pipeline(s.config, s.alpha, threads=threads)
         return result.effective_window, result.untagged_lower, result.degenerate
-    w, mean_m = s.window, s.scheme.mu * s.scheme.xi
-    omd = float(
-        stats.poisson.cdf(math.floor(w.m2), mean_m)
-        - stats.poisson.cdf(math.ceil(w.m1) - 1, mean_m)
-    )
-    return w, omd, False
+    w = s.window
+    return w, float(poisson_window_mass(w.m1, w.m2, s.scheme.mu * s.scheme.xi)), False
 
 
 def _format_row(L, rate, Q, E, delta_bar, untagged) -> str:

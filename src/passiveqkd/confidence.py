@@ -3,8 +3,8 @@
 The Clopper-Pearson interval inverts the binomial tail probabilities
 exactly, which makes it conservative by construction: over repeated
 experiments the true proportion is covered at least 1 - alpha of the time.
-Tails are evaluated through the regularized incomplete beta function so
-trial counts of 10^8 and beyond stay tractable.
+Each bound is one inversion of the regularized incomplete beta function,
+so trial counts of 10^8 and beyond stay tractable.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
-from scipy.stats import norm
+from scipy.special import betaincinv, ndtri
 
 __all__ = ["ConfidenceResult", "ApnInterval", "clopper_pearson", "apn_interval"]
 
@@ -39,27 +38,15 @@ class ApnInterval:
     degenerate: bool = False
 
 
-def _bisect(f, lo: float, hi: float, tol: float = 1e-13) -> float:
-    flo = f(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
-            return mid
-        if f(mid) * flo > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def clopper_pearson(successes: int, trials: int, alpha: float) -> ConfidenceResult:
     """Exact two-sided (1 - alpha) confidence bounds on a binomial proportion.
 
-    The lower bound solves P(X >= successes | p) = alpha/2 and the upper
-    bound P(X <= successes | p) = alpha/2; both tails are written as
-    regularized incomplete beta functions and root-found by bisection to
-    absolute tolerance 1e-12 in p.  Boundary cases are exact:
-    lower = 0 at zero successes, upper = 1 at full successes.
+    The lower bound solves P(X >= successes | p) = alpha/2, and that tail is
+    the regularized incomplete beta I_p(x, M - x + 1), so the bound is its
+    inverse at alpha/2.  The upper bound solves P(X <= successes | p) =
+    alpha/2; by symmetry it is 1 minus the lower bound for the M - x
+    failures.  Boundary cases are exact: lower = 0 at zero successes,
+    upper = 1 at full successes.
     """
     M, x = int(trials), int(successes)
     if M < 1:
@@ -70,16 +57,8 @@ def clopper_pearson(successes: int, trials: int, alpha: float) -> ConfidenceResu
         raise ValueError("alpha must be in (0, 1)")
     half = alpha / 2.0
 
-    if x == 0:
-        lower = 0.0
-    else:
-        # P(X >= x | p) = I_p(x, M - x + 1)
-        lower = _bisect(lambda p: betainc(x, M - x + 1, p) - half, 0.0, 1.0)
-    if x == M:
-        upper = 1.0
-    else:
-        # P(X <= x | p) = 1 - I_p(x + 1, M - x)
-        upper = _bisect(lambda p: (1.0 - betainc(x + 1, M - x, p)) - half, 0.0, 1.0)
+    lower = 0.0 if x == 0 else float(betaincinv(x, M - x + 1, half))
+    upper = 1.0 if x == M else 1.0 - float(betaincinv(M - x, x + 1, half))
     return ConfidenceResult(lower=lower, upper=upper, level=1.0 - alpha)
 
 
@@ -102,6 +81,6 @@ def apn_interval(records, xi: float, alpha: float) -> ApnInterval:
     var = float(r.var(ddof=1))
     if var == 0.0:
         return ApnInterval(mean / xi, mean / xi, 1.0 - alpha, degenerate=True)
-    z = float(norm.ppf(1.0 - alpha / 2.0))
+    z = float(ndtri(1.0 - alpha / 2.0))
     h = z * np.sqrt(var / r.size)
     return ApnInterval((mean - h) / xi, (mean + h) / xi, 1.0 - alpha)

@@ -19,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr, pdtr
 
 __all__ = [
     "PoissonNoise",
@@ -27,6 +27,7 @@ __all__ = [
     "NoiseModel",
     "ThresholdWindow",
     "UntaggedBound",
+    "poisson_window_mass",
     "poisson_bbar",
     "poisson_b",
     "untagged_lower_bound_poisson",
@@ -104,6 +105,20 @@ def _untagged_bound(p_l: float, b_out: float, b_in: float) -> UntaggedBound:
     return UntaggedBound(min(1.0, max(0.0, (p_l - b_out) / denom)))
 
 
+def poisson_window_mass(lo, hi, mu):
+    """P(lo <= X <= hi) for X ~ Poisson(mu), elementwise over array edges.
+
+    Real edges count the integers in [lo, hi].  A lower edge <= 0 leaves
+    nothing below it (and an upper edge < 0 nothing at all), where scipy's
+    ``pdtr`` of a negative count would be NaN.
+    """
+
+    def cdf(k):
+        return np.where(k >= 0, pdtr(np.maximum(k, 0), mu), 0.0)
+
+    return cdf(np.floor(hi)) - cdf(np.ceil(lo) - 1)
+
+
 def poisson_bbar(w: ThresholdWindow, gamma: float) -> float:
     """Worst-case noise mass landing in the window from below-threshold signal.
 
@@ -131,15 +146,14 @@ def poisson_bbar(w: ThresholdWindow, gamma: float) -> float:
     err = 8.0 * np.finfo(float).eps * math.lgamma(m1 + width + 2)
     half = 2 + int(err * (m1 + width + 1) / (width + 1))
     s = np.arange(max(1, s_hat - half), min(m1, s_hat + half) + 1)
-    mass = stats.poisson.cdf(s + width, gamma) - stats.poisson.cdf(s - 1, gamma)
-    return float(np.max(mass))
+    return float(np.max(poisson_window_mass(s, s + width, gamma)))
 
 
 def poisson_b(m2: int, gamma: float) -> float:
     """Poisson(gamma) CDF at m2 (regularized-gamma evaluation)."""
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    return float(stats.poisson.cdf(m2, gamma))
+    return float(poisson_window_mass(0, m2, gamma))
 
 
 def untagged_lower_bound_poisson(
@@ -169,9 +183,9 @@ def gaussian_b123(w: ThresholdWindow, sigma2: float) -> tuple[float, float, floa
         raise ValueError("sigma2 must be positive")
     sigma = math.sqrt(sigma2)
     width = w.width
-    b1 = float(stats.norm.cdf(width / sigma) - 0.5)
-    b2 = float(2.0 * stats.norm.cdf(width / (2.0 * sigma)) - 1.0)
-    b3 = float(stats.norm.cdf(-1.0 / sigma) - stats.norm.cdf(-(width + 1.0) / sigma))
+    b1 = float(ndtr(width / sigma) - 0.5)
+    b2 = float(2.0 * ndtr(width / (2.0 * sigma)) - 1.0)
+    b3 = float(ndtr(-1.0 / sigma) - ndtr(-(width + 1.0) / sigma))
     assert b2 >= b1 - 1e-12 and b1 >= b3 - 1e-12, "ordering b2 >= b1 >= b3 violated"
     return b1, b2, b3
 

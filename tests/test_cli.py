@@ -240,6 +240,37 @@ def test_bundled_scenario_table_matches_golden(name):
     assert out.getvalue() == (GOLDEN / f"{name}.tsv").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("m1", [0, -5])
+def test_exact_window_from_zero_or_below_counts_nothing_below(tmp_path, capsys, m1):
+    # a lower edge <= 0 leaves no Poisson mass below the window, so the table
+    # is that of lowtrans-pna, whose window already holds all but ~1e-11 of it
+    data = yaml.safe_load(Path(bundled_scenarios()["lowtrans-pna"]).read_text())
+    data["window"]["m1"] = m1
+    assert main(["run", write_scenario(tmp_path, data)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    golden = (GOLDEN / "lowtrans-pna.tsv").read_text(encoding="utf-8").splitlines()
+    scenario = [i for i, line in enumerate(golden) if line.startswith("# scenario:")]
+    assert [l for i, l in enumerate(lines) if i not in scenario] == [
+        l for i, l in enumerate(golden) if i not in scenario
+    ]
+
+
+def test_library_imports_no_scipy_stats_or_optimize():
+    # at runtime the library uses scipy.special only; tests and bench/ keep
+    # scipy.stats as their independent oracle
+    env = dict(os.environ, PYTHONPATH=str(Path(passiveqkd.__file__).parents[1]))
+    code = (
+        "import sys, passiveqkd, passiveqkd.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['scipy', 'stats'], ['scipy', 'optimize'])))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize(
     "command",
     [["run", "ideal-apn"], ["list-scenarios"], ["validate", "ideal-apn"]],

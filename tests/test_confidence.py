@@ -11,12 +11,12 @@ from passiveqkd import apn_interval, clopper_pearson
 
 
 def binomial_tail_ge(x, M, p):
-    """P(X >= x) for X ~ Binomial(M, p), by direct summation."""
-    return sum(math.comb(M, k) * p**k * (1.0 - p) ** (M - k) for k in range(x, M + 1))
+    """P(X >= x) for X ~ Binomial(M, p), by exactly rounded direct summation."""
+    return math.fsum(math.comb(M, k) * p**k * (1.0 - p) ** (M - k) for k in range(x, M + 1))
 
 
 def binomial_tail_le(x, M, p):
-    return sum(math.comb(M, k) * p**k * (1.0 - p) ** (M - k) for k in range(0, x + 1))
+    return math.fsum(math.comb(M, k) * p**k * (1.0 - p) ** (M - k) for k in range(0, x + 1))
 
 
 def test_boundary_closed_forms():
@@ -31,22 +31,30 @@ def test_boundary_closed_forms():
     assert clopper_pearson(0, M, alpha).upper == pytest.approx(
         1.0 - (alpha / 2.0) ** (1.0 / M), abs=1e-12
     )
+    # the auto-minmax pipeline's k' = M case, where p^M = alpha/2 puts the
+    # bound a relative 1.5e-7 below 1
+    M, alpha = 10**8, 1e-6
+    exact = math.exp(math.log(alpha / 2.0) / M)
+    assert abs(clopper_pearson(M, M, alpha).lower - exact) <= 2.0 * math.ulp(exact)
 
 
 def test_bounds_invert_the_binomial_tails():
-    # at the returned bounds the corresponding tail equals alpha/2
-    for M in (5, 12, 20):
+    # at the returned bounds the corresponding tail equals alpha/2, and
+    # moving a bound by 64 ulp either way puts alpha/2 strictly between the
+    # two tails, so each bound is accurate relative to its own size
+    for M in (1, 2, 5, 12, 20, 30):
         for x in range(M + 1):
-            for alpha in (0.1, 0.01):
+            for alpha in (0.1, 0.01, 1e-6, 1e-9):
+                half = alpha / 2.0
                 res = clopper_pearson(x, M, alpha)
                 if x > 0:
-                    assert binomial_tail_ge(x, M, res.lower) == pytest.approx(
-                        alpha / 2.0, abs=1e-10
-                    )
+                    p, dp = res.lower, 64.0 * math.ulp(res.lower)
+                    assert binomial_tail_ge(x, M, p) == pytest.approx(half, abs=1e-10)
+                    assert binomial_tail_ge(x, M, p - dp) < half < binomial_tail_ge(x, M, p + dp)
                 if x < M:
-                    assert binomial_tail_le(x, M, res.upper) == pytest.approx(
-                        alpha / 2.0, abs=1e-10
-                    )
+                    p, dp = res.upper, 64.0 * math.ulp(res.upper)
+                    assert binomial_tail_le(x, M, p) == pytest.approx(half, abs=1e-10)
+                    assert binomial_tail_le(x, M, p - dp) > half > binomial_tail_le(x, M, p + dp)
 
 
 def test_large_trial_counts_stay_tractable():

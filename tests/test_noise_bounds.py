@@ -11,6 +11,7 @@ from passiveqkd import (
     gaussian_b123,
     poisson_b,
     poisson_bbar,
+    poisson_window_mass,
     untagged_lower_bound_gaussian,
     untagged_lower_bound_poisson,
 )
@@ -31,6 +32,20 @@ def test_window_validation():
     with pytest.raises(ValueError, match="integer"):
         w.as_integers()
     assert ThresholdWindow(2.0, 7.0).as_integers() == (2, 7)
+
+
+def test_poisson_window_mass_matches_scipy_stats_at_every_edge():
+    # real edges, including lower edges <= 0 and whole windows below 0, where
+    # pdtr alone would be NaN; scipy.stats is the independent oracle
+    rng = np.random.default_rng(9)
+    mu = 10.0 ** rng.uniform(-2, 7, 5000)
+    lo = mu + rng.uniform(-8, 4, 5000) * np.sqrt(mu) - rng.uniform(0, 20, 5000)
+    hi = lo + rng.uniform(0.1, 10, 5000) * np.sqrt(mu)
+    lo[:50], hi[:50] = -7.5, -0.5
+    oracle = stats.poisson.cdf(np.floor(hi), mu) - stats.poisson.cdf(np.ceil(lo) - 1, mu)
+    assert (lo <= 0).sum() > 500
+    assert np.array_equal(poisson_window_mass(lo, hi, mu), oracle)
+    assert float(poisson_window_mass(-5, 3, 2.0)) == float(stats.poisson.cdf(3, 2.0))
 
 
 def test_poisson_bbar_matches_brute_force():
