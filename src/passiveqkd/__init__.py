@@ -52,15 +52,7 @@ from .photon_stats import (
     multiphoton_probability,
     poisson_pnd,
 )
-from .worstcase import (
-    InfeasibleError,
-    LpInstance,
-    WorstCaseResult,
-    build_lp_instance,
-    coefficient_a,
-    maximize_ratio,
-    simplex_solve,
-)
+from .worstcase import WorstCaseResult, coefficient_a, maximize_ratio
 
 __version__ = "0.1.0"
 
@@ -74,12 +66,8 @@ __all__ = [
     "multiphoton_probability",
     # worstcase
     "WorstCaseResult",
-    "LpInstance",
-    "InfeasibleError",
     "coefficient_a",
     "maximize_ratio",
-    "build_lp_instance",
-    "simplex_solve",
     # confidence
     "ConfidenceResult",
     "ApnInterval",

@@ -39,7 +39,7 @@ from .keyrate import (
 from .montecarlo import PoissonianSource, RunConfig, run_pipeline
 from .noise_bounds import GaussianNoise, PoissonNoise, ThresholdWindow, poisson_window_mass
 from .photon_stats import PassiveSchemeParams
-from .worstcase import InfeasibleError, maximize_ratio
+from .worstcase import maximize_ratio
 
 _SECTIONS = ("scheme", "channel", "decoy", "noise", "window", "sweep")
 _PIPELINE_KEYS = ("alpha", "M", "seed")
@@ -101,6 +101,8 @@ def _mistyped(value, kind) -> str | None:
     """Why ``value`` cannot fill a field annotated ``kind``, or None."""
     if isinstance(value, bool) or not isinstance(value, {"int": int}.get(kind, (int, float))):
         return "must be an integer" if kind == "int" else "must be a number"
+    if kind != "int" and not abs(value) <= sys.float_info.max:  # inf, nan, or past any float
+        return "must be a finite number"
     return None
 
 
@@ -186,7 +188,7 @@ def validate_scenario_dict(data: dict) -> ValidationReport:
     if source == "exact" and not isinstance(data.get("window"), dict):
         report.add("window", "delta_source 'exact' needs a fixed {m1, m2} window")
     if "f_ec" in data and (_mistyped(data["f_ec"], "float") or not data["f_ec"] >= 1.0):
-        report.add("f_ec", "must be a number >= 1")
+        report.add("f_ec", "must be a finite number >= 1")
     if data.get("output") is not None and not isinstance(data["output"], str):
         report.add("output", "must be a path string")
 
@@ -241,7 +243,7 @@ def validate_scenario_dict(data: dict) -> ValidationReport:
     alpha, config = data.get("alpha"), None
     if source == "pipeline" and report.ok:
         if _mistyped(alpha, "float") or not 0.0 < alpha < 1.0:
-            report.add("alpha", "must be a number in (0, 1)")
+            report.add("alpha", "must be a finite number in (0, 1)")
         spec = {key: data[key] for key in ("M", "seed")}
         config = _build(report, "", RunConfig, spec, source=PoissonianSource(scheme.mu),
                         scheme=scheme, noise=noise, window=window)
@@ -377,7 +379,7 @@ def run_scenario(
 
     try:
         rows, summary, degenerate = _run(s, threads)
-    except (InfeasibleError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
 

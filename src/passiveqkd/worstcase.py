@@ -5,8 +5,7 @@ average photon number mu can shape the photon-number distribution to
 maximize the multiphoton probability after the attenuation eta.  The
 optimum is a two-point distribution on {0, k_s} where k_s maximizes
 a_k / k, with a_k the probability that k input photons yield more than one
-survivor.  A small dense simplex solver is kept alongside as an
-independent cross-check of that closed form.
+survivor.
 """
 
 from __future__ import annotations
@@ -17,19 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "WorstCaseResult",
-    "LpInstance",
-    "InfeasibleError",
-    "coefficient_a",
-    "maximize_ratio",
-    "build_lp_instance",
-    "simplex_solve",
-]
-
-
-class InfeasibleError(ValueError):
-    """The linear program has no feasible point."""
+__all__ = ["WorstCaseResult", "coefficient_a", "maximize_ratio"]
 
 
 @dataclass(frozen=True)
@@ -37,15 +24,6 @@ class WorstCaseResult:
     p_multi_upper: float
     k_star: int
     optimal_pnd_weights: tuple[float, float]  # (P(n=0), P(n=k_star))
-
-
-@dataclass(frozen=True)
-class LpInstance:
-    """maximize c @ x  subject to  A @ x = b, x >= 0."""
-
-    c: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
 
 
 def coefficient_a(k, eta: float):
@@ -127,103 +105,3 @@ def _scan_range(eta: float, k_lo: int, k_hi: int) -> tuple[int, float]:
     i = int(np.argmax(ratios))
     return int(ks[i]), float(ratios[i])
 
-
-def build_lp_instance(eta: float, mu: float, n_cols: int) -> LpInstance:
-    """Truncated LP over P(n=0..n_cols-1): maximize total multiphoton weight.
-
-    Row 1 of A fixes the mean, row 2 the normalization; the objective
-    coefficient of column k is a_k for k >= 2 and zero otherwise.
-    """
-    if n_cols < 3:
-        raise ValueError("need at least columns 0, 1, 2")
-    if mu > n_cols - 1:
-        raise InfeasibleError(f"mu={mu} not reachable with {n_cols} columns")
-    ks = np.arange(n_cols)
-    c = np.zeros(n_cols)
-    c[2:] = coefficient_a(ks[2:], eta)
-    A = np.vstack([ks.astype(float), np.ones(n_cols)])
-    b = np.array([float(mu), 1.0])
-    return LpInstance(c=c, A=A, b=b)
-
-
-def simplex_solve(instance: LpInstance) -> tuple[float, np.ndarray]:
-    """Two-phase dense simplex with Bland's anti-cycling rule.
-
-    Maximizes c @ x subject to A @ x = b, x >= 0, and returns the optimal
-    value and a vertex solution.  Intended as an oracle for small dense
-    instances (N up to ~10^4), not as a general-purpose solver.
-    """
-    c = np.asarray(instance.c, dtype=float)
-    A = np.asarray(instance.A, dtype=float)
-    b = np.asarray(instance.b, dtype=float).copy()
-    m, n = A.shape
-    if c.shape != (n,) or b.shape != (m,):
-        raise ValueError("inconsistent LP dimensions")
-    # Ensure b >= 0 for the phase-1 start.
-    flip = b < 0
-    A = A.copy()
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-
-    tol = 1e-10
-    # Tableau with artificial variables appended: columns [x | artificial | rhs]
-    T = np.zeros((m, n + m + 1))
-    T[:, :n] = A
-    T[:, n : n + m] = np.eye(m)
-    T[:, -1] = b
-    basis = list(range(n, n + m))
-
-    def pivot(row: int, col: int) -> None:
-        T[row] /= T[row, col]
-        for r in range(m):
-            if r != row and abs(T[r, col]) > 0.0:
-                T[r] -= T[r, col] * T[row]
-        basis[row] = col
-
-    def run_phase(obj: np.ndarray, allowed: int) -> None:
-        # Bland's rule: enter the lowest-index improving column, leave by the
-        # lowest-index row among minimum-ratio ties.
-        while True:
-            reduced = obj[:allowed] - obj[basis] @ T[:, :allowed]
-            enter = -1
-            for j in range(allowed):
-                if reduced[j] > tol:
-                    enter = j
-                    break
-            if enter < 0:
-                return
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(T[:, enter] > tol, T[:, -1] / T[:, enter], np.inf)
-            leave = int(np.argmin(ratios))
-            if not np.isfinite(ratios[leave]):
-                raise ValueError("LP objective unbounded above")
-            # Bland tie-break on the leaving variable index.
-            best = ratios[leave]
-            for r in range(m):
-                if abs(ratios[r] - best) <= tol and basis[r] < basis[leave]:
-                    leave = r
-            pivot(leave, enter)
-
-    # Phase 1: drive the artificials out.
-    phase1_obj = np.zeros(n + m)
-    phase1_obj[n:] = -1.0
-    run_phase(phase1_obj, n + m)
-    if -(phase1_obj[basis] @ T[:, -1]) > 1e-8:
-        raise InfeasibleError("no feasible point for the LP constraints")
-    for r in range(m):
-        if basis[r] >= n:  # degenerate artificial still basic at zero
-            for j in range(n):
-                if abs(T[r, j]) > tol:
-                    pivot(r, j)
-                    break
-
-    # Phase 2 on the original objective, artificials excluded.
-    phase2_obj = np.zeros(n + m)
-    phase2_obj[:n] = c
-    run_phase(phase2_obj, n)
-
-    x = np.zeros(n)
-    for r, j in enumerate(basis):
-        if j < n:
-            x[j] = T[r, -1]
-    return float(c @ x), x

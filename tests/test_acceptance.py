@@ -24,7 +24,6 @@ from passiveqkd import (
     ThresholdWindow,
     bernoulli_transform,
     binary_entropy,
-    build_lp_instance,
     channel_gain_qber,
     clopper_pearson,
     decoy_rate_trusted,
@@ -36,7 +35,6 @@ from passiveqkd import (
     poisson_pnd,
     run,
     run_pipeline,
-    simplex_solve,
     trusted_delta_bar,
 )
 
@@ -70,7 +68,7 @@ def test_criterion_1_worst_case_bound():
     report(1, ok, f"p_multi={res.p_multi_upper:.6f}, k_s={res.k_star}, {elapsed:.2f}s")
 
 
-def test_criterion_2_lp_cross_validation():
+def test_criterion_2_lp_cross_validation(worst_case_lp):
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
     n_cols = 5000
@@ -82,7 +80,7 @@ def test_criterion_2_lp_cross_validation():
         mu = rng.uniform(0.05, 20.0)
         closed = maximize_ratio(eta, mu, k_cap=n_cols - 1)
         assert closed.k_star < n_cols - 1
-        lp_value, _ = simplex_solve(build_lp_instance(eta, mu, n_cols))
+        lp_value, _ = worst_case_lp(eta, mu, n_cols)
         worst_gap = max(worst_gap, abs(lp_value - closed.p_multi_upper))
     elapsed = time.perf_counter() - start
     ok = worst_gap <= 1e-9 and elapsed < 30.0

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -184,6 +185,13 @@ def changed(data, section, **updates):
     return dict(data, **{section: block})
 
 
+def bundled(name):
+    return yaml.safe_load(Path(bundled_scenarios()[name]).read_text(encoding="utf-8"))
+
+
+INF, NAN = math.inf, math.nan
+
+
 @pytest.mark.parametrize(
     "data, flags, field",
     [
@@ -198,6 +206,23 @@ def changed(data, section, **updates):
                      id="mc-pipeline-lam-optimized"),
         pytest.param(GOOD_MC, ["--seed", "-1"], "seed", id="seed-flag-negative"),
         pytest.param(GOOD_MC, ["--alpha", "2"], "alpha", id="alpha-flag-2"),
+        pytest.param(changed(GOOD_TRUSTED, "sweep", L_end=INF), [], "sweep.L_end",
+                     id="L_end-inf"),
+        pytest.param(changed(GOOD_TRUSTED, "sweep", L_start=NAN), [], "sweep.L_start",
+                     id="L_start-nan"),
+        pytest.param(changed(GOOD_TRUSTED, "sweep", L_step=NAN), [], "sweep.L_step",
+                     id="L_step-nan"),
+        pytest.param(changed(bundled("ideal-apn"), "scheme", mu=INF), [], "scheme.mu",
+                     id="apn-mu-inf"),
+        pytest.param(changed(bundled("lowtrans-pna"), "window", m2=INF), [], "window.m2",
+                     id="pna-m2-inf"),
+        pytest.param(changed(bundled("ideal-apn"), "scheme", mu=NAN), [], "scheme.mu",
+                     id="apn-mu-nan"),
+        pytest.param(changed(GOOD_TRUSTED, "channel", alpha_prime=NAN), [],
+                     "channel.alpha_prime", id="alpha_prime-nan"),
+        pytest.param(changed(bundled("decoy-trusted"), "decoy", nu_s=INF), [], "decoy.nu_s",
+                     id="decoy-nu_s-inf"),
+        pytest.param(dict(GOOD_TRUSTED, f_ec=INF), [], "f_ec", id="f_ec-inf"),
     ],
 )
 def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, data, flags, field):
@@ -209,6 +234,11 @@ def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, data, flags, field
     assert main(["run", path, *flags]) == EXIT_VALIDATION
     report = json.loads(capsys.readouterr().err)
     assert field in [e["field"] for e in report["errors"]]
+
+
+def test_non_finite_number_is_named_as_such():
+    report = validate_scenario_dict(changed(GOOD_TRUSTED, "scheme", mu=INF))
+    assert report.errors == [{"field": "scheme.mu", "message": "must be a finite number"}]
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])
@@ -257,7 +287,7 @@ def test_exact_window_from_zero_or_below_counts_nothing_below(tmp_path, capsys, 
 
 def test_library_imports_no_scipy_stats_or_optimize():
     # at runtime the library uses scipy.special only; tests and bench/ keep
-    # scipy.stats as their independent oracle
+    # scipy.stats and scipy.optimize as their independent oracles
     env = dict(os.environ, PYTHONPATH=str(Path(passiveqkd.__file__).parents[1]))
     code = (
         "import sys, passiveqkd, passiveqkd.cli; "

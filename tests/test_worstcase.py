@@ -1,19 +1,15 @@
-"""Worst-case multiphoton bound and the simplex cross-check."""
+"""Worst-case multiphoton bound: the closed form against full scans and HiGHS.
+
+The LP oracle, ``worst_case_lp`` in ``conftest.py``, solves the truncated
+mean-constrained LP with ``scipy.optimize.linprog(method="highs")``.
+"""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
-from passiveqkd import (
-    InfeasibleError,
-    LpInstance,
-    build_lp_instance,
-    coefficient_a,
-    maximize_ratio,
-    simplex_solve,
-)
+from passiveqkd import coefficient_a, maximize_ratio
 from passiveqkd.worstcase import _scan_range
 
 
@@ -165,75 +161,41 @@ def test_maximize_ratio_scales_linearly_in_mu():
     assert r2.p_multi_upper == pytest.approx(2.0 * r1.p_multi_upper, rel=1e-12)
 
 
-def test_simplex_against_scipy_on_random_instances():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        m, n = 3, 8
-        # first row normalizes x, keeping the polytope bounded; the rest are
-        # arbitrary but feasible by construction
-        A = rng.uniform(-1.0, 1.0, size=(m, n))
-        A[0] = 1.0
-        x_feas = rng.dirichlet(np.ones(n))
-        b = A @ x_feas
-        c = rng.uniform(-1.0, 1.0, size=n)
-        ref = linprog(-c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
-        assert ref.status == 0
-        value, x = simplex_solve(LpInstance(c=c, A=A, b=b))
-        assert value == pytest.approx(-ref.fun, abs=1e-8)
-        np.testing.assert_allclose(A @ x, b, atol=1e-8)
-        assert np.all(x >= -1e-10)
-
-
-def test_simplex_detects_infeasible():
-    A = np.array([[1.0, 1.0], [1.0, 1.0]])
-    b = np.array([1.0, 2.0])
-    with pytest.raises(InfeasibleError):
-        simplex_solve(LpInstance(c=np.ones(2), A=A, b=b))
-
-
-def test_build_lp_instance_rejects_unreachable_mean():
-    with pytest.raises(InfeasibleError):
-        build_lp_instance(0.1, 50.0, 10)
-
-
-def test_closed_form_agrees_with_lp():
+def test_closed_form_agrees_with_lp(worst_case_lp):
     # mean constraint + normalization: optimum is the two-point distribution
     # on {0, k_star} whenever k_star fits inside the truncation
     eta, mu, n_cols = 0.05, 3.0, 500
     res = maximize_ratio(eta, mu, k_cap=n_cols - 1)
-    value, x = simplex_solve(build_lp_instance(eta, mu, n_cols))
+    value, x = worst_case_lp(eta, mu, n_cols)
     assert value == pytest.approx(res.p_multi_upper, abs=1e-11)
     assert x[res.k_star] == pytest.approx(res.optimal_pnd_weights[1], abs=1e-9)
 
 
-def test_tiny_lp_single_candidate_column():
+def test_tiny_lp_single_candidate_column(worst_case_lp):
     # with columns {0, 1, 2} only k = 2 carries objective weight, so the
     # optimum is a_2 * mu / 2 = eta^2 / 2
-    value, x = simplex_solve(build_lp_instance(0.5, 1.0, 3))
+    value, x = worst_case_lp(0.5, 1.0, 3)
     assert value == pytest.approx(0.125, abs=1e-12)
     assert np.count_nonzero(np.abs(x) > 1e-12) <= 2
 
 
-def test_lp_vertex_has_at_most_two_nonzeros():
-    # two equality constraints: any simplex vertex has at most two basic
+def test_lp_vertex_has_at_most_two_nonzeros(worst_case_lp):
+    # two equality constraints: a basic solution has at most two basic
     # variables away from zero
-    _, x = simplex_solve(build_lp_instance(0.05, 3.0, 500))
+    _, x = worst_case_lp(0.05, 3.0, 500)
     assert np.count_nonzero(np.abs(x) > 1e-10) <= 2
 
 
 def test_lp_optimum_never_below_any_feasible_point():
-    # random mixtures of two-point feasible distributions stay feasible, so
-    # none of them may beat the reported optimum
-    eta, mu, n_cols = 0.05, 3.0, 400
-    inst = build_lp_instance(eta, mu, n_cols)
-    value, _ = simplex_solve(inst)
+    # the closed form is the optimum over every source of mean mu; a mixture
+    # of two-point sources {0, k} with k >= mu has mean mu, so none may beat it
     rng = np.random.default_rng(3)
-    for _ in range(50):
-        ks = rng.integers(4, n_cols - 1, size=5)
-        weights = rng.dirichlet(np.ones(5))
-        x = np.zeros(n_cols)
-        for k, w in zip(ks, weights):
-            x[0] += w * (1.0 - mu / k)
-            x[k] += w * (mu / k)
-        np.testing.assert_allclose(inst.A @ x, inst.b, atol=1e-12)
-        assert value >= float(inst.c @ x) - 1e-9
+    for eta, mu in ((0.05, 3.0), (0.001, 100.0), (0.3, 0.5)):
+        res = maximize_ratio(eta, mu)
+        tight = mu * coefficient_a(res.k_star, eta) / res.k_star
+        assert res.p_multi_upper == pytest.approx(tight, rel=1e-12)
+        for _ in range(50):
+            ks = rng.integers(max(2, math.ceil(mu)), int(4.0 / eta), size=5)
+            p_k = rng.dirichlet(np.ones(5)) * mu / ks  # the rest is vacuum
+            assert p_k.sum() <= 1.0 and float(ks @ p_k) == pytest.approx(mu, rel=1e-12)
+            assert res.p_multi_upper >= float(coefficient_a(ks, eta) @ p_k) * (1.0 - 1e-12)
