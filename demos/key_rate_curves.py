@@ -1,8 +1,9 @@
 """Secure-distance comparison of the three source-verification modes.
 
-Same channel, same mean output intensity - only the trust model changes.
-The mean-only (APN) monitor must assume the adversarial two-point source
-and dies early; the two-threshold analyzer (PNA) restores most of the
+Same channel, same mean output intensity - only the trust model changes,
+and with it the multiphoton bound that the one tagged rate concedes.  The
+mean-only (APN) monitor must assume the adversarial two-point source and
+dies early; the two-threshold analyzer (PNA) restores most of the
 distance; a fully trusted Poissonian source is the upper reference.
 """
 
@@ -12,12 +13,11 @@ from passiveqkd import (
     ChannelParams,
     PassiveSchemeParams,
     ThresholdWindow,
-    channel_gain_qber,
-    gllp_rate,
     maximize_ratio,
     pna_rate_bb84,
+    poisson_multiphoton,
     poisson_window_mass,
-    trusted_delta_bar,
+    tagged_rate,
 )
 
 scheme = PassiveSchemeParams(t_B=0.9, t_D=0.76, lam=1e-6, mu=1e6)
@@ -34,8 +34,7 @@ print(f"output intensity {mu_out:g}, adversarial P(n>1) <= {p_multi:.6f}, "
 print(f"{'L (km)':>7} {'APN':>12} {'PNA':>12} {'trusted':>12}")
 for L in np.arange(0.0, 55.0, 5.0):
     ch = channel.at_distance(L)
-    Q, E = channel_gain_qber(mu_out, ch)
-    apn = gllp_rate(Q, E, min(1.0, p_multi / Q))
+    apn = tagged_rate(mu_out, p_multi, ch).rate
     pna = pna_rate_bb84(scheme, ch, window, omd).rate
-    trusted = gllp_rate(Q, E, min(1.0, trusted_delta_bar(mu_out, ch)))
+    trusted = tagged_rate(mu_out, poisson_multiphoton(mu_out), ch).rate
     print(f"{L:>7.0f} {apn:>12.3e} {pna:>12.3e} {trusted:>12.3e}")

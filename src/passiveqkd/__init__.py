@@ -7,7 +7,7 @@ that bound: adversarial and Poissonian photon-number analyses, GLLP-style
 BB84 rates, and three-intensity decoy-state estimation.
 """
 
-from .confidence import ApnInterval, ConfidenceResult, apn_interval, clopper_pearson
+from .confidence import ConfidenceResult, clopper_pearson
 from .keyrate import (
     ChannelParams,
     DecoySettings,
@@ -21,6 +21,8 @@ from .keyrate import (
     gllp_rate,
     lambda_A,
     pna_rate_bb84,
+    poisson_multiphoton,
+    tagged_rate,
     trusted_delta_bar,
 )
 from .montecarlo import (
@@ -70,9 +72,7 @@ __all__ = [
     "maximize_ratio",
     # confidence
     "ConfidenceResult",
-    "ApnInterval",
     "clopper_pearson",
-    "apn_interval",
     # noise_bounds
     "PoissonNoise",
     "GaussianNoise",
@@ -93,6 +93,8 @@ __all__ = [
     "binary_entropy",
     "channel_gain_qber",
     "gllp_rate",
+    "tagged_rate",
+    "poisson_multiphoton",
     "apn_delta_bar",
     "trusted_delta_bar",
     "lambda_A",

@@ -28,14 +28,14 @@ from . import __version__
 from .keyrate import (
     ChannelParams,
     DecoySettings,
-    RatePoint,
-    channel_gain_qber,
     decoy_rate_trusted,
     decoy_rate_untagged,
-    gllp_rate,
     pna_rate_bb84,
-    trusted_delta_bar,
+    poisson_multiphoton,
+    tagged_rate,
 )
+# not called here: bench/workloads.py traces these names on this module
+from .keyrate import channel_gain_qber, gllp_rate, trusted_delta_bar  # noqa: F401
 from .montecarlo import PoissonianSource, RunConfig, run_pipeline
 from .noise_bounds import GaussianNoise, PoissonNoise, ThresholdWindow, poisson_window_mass
 from .photon_stats import PassiveSchemeParams
@@ -45,6 +45,7 @@ _SECTIONS = ("scheme", "channel", "decoy", "noise", "window", "sweep")
 _PIPELINE_KEYS = ("alpha", "M", "seed")
 _TOP_KEYS = {*_SECTIONS, *_PIPELINE_KEYS, "mode", "description", "f_ec", "delta_source", "output"}
 _SWEEP_KEYS = ("L_start", "L_end", "L_step")
+_MAX_SWEEP_POINTS = 100_000
 _NOISE = {"poisson": PoissonNoise, "gaussian": GaussianNoise, "none": None}
 
 EXIT_OK = 0
@@ -148,12 +149,16 @@ def _parse_sweep(report, spec):
         bounds = (("L_start", l0 < 0, ">= 0"), ("L_step", step <= 0, "> 0"),
                   ("L_end", l1 < l0, ">= L_start"))
         problems = [(key, f"must be {bound}") for key, wrong, bound in bounds if wrong]
+    if not problems:
+        # counted as a float before any list is built: inf and nan fail too
+        steps = (l1 - l0) / step + 1e-9
+        if not steps < _MAX_SWEEP_POINTS:
+            problems = [("L_step", f"must leave at most {_MAX_SWEEP_POINTS} sweep points")]
     for key, message in problems:
         report.add(f"sweep.{key}", message)
     if problems:
         return None
-    n = int(math.floor((l1 - l0) / step + 1e-9)) + 1
-    return [l0 + i * step for i in range(n)]
+    return [l0 + i * step for i in range(int(steps) + 1)]
 
 
 def _optimized_lam(mu: float, t_B: float, ch: ChannelParams) -> float:
@@ -251,57 +256,43 @@ def validate_scenario_dict(data: dict) -> ValidationReport:
         mode=mode, scheme=scheme, optimized=optimized, channel=channel, decoy=decoy,
         noise=noise, window=window, points=points, delta_source=source, config=config,
         alpha=alpha, f_ec=data.get("f_ec", 1.0),
-        untagged=None,  # 1 - delta, set by the run for the modes that read it
-        p_multi={},  # worst-case multiphoton bound by eta, filled during one run
     )
     return report
 
 
-def _scheme_at(s, ch: ChannelParams) -> PassiveSchemeParams:
-    if s.optimized:
-        return replace(s.scheme, lam=_optimized_lam(s.scheme.mu, s.scheme.t_B, ch))
-    return s.scheme
+def _apn_rate(s, scheme, window, untagged):
+    p_multi = maximize_ratio(scheme.eta, scheme.mu).p_multi_upper
+    return lambda ch: tagged_rate(scheme.mu * scheme.eta, p_multi, ch, s.f_ec)
 
 
-def _apn_point(s, ch) -> RatePoint:
-    scheme = _scheme_at(s, ch)
-    # eta is fixed unless lam is optimized: one maximize_ratio call (up to
-    # ~36 ms) then serves the whole sweep
-    if scheme.eta not in s.p_multi:
-        s.p_multi[scheme.eta] = maximize_ratio(scheme.eta, scheme.mu).p_multi_upper
-    Q, E = channel_gain_qber(scheme.mu * scheme.eta, ch)
-    delta_bar = s.p_multi[scheme.eta] / Q
-    return RatePoint(ch.L, gllp_rate(Q, E, min(1.0, delta_bar), s.f_ec), delta_bar, Q, E)
-
-
-def _trusted_point(s, ch) -> RatePoint:
-    scheme = _scheme_at(s, ch)
+def _trusted_rate(s, scheme, window, untagged):
     mu_p2 = scheme.mu * scheme.eta
-    delta_bar = trusted_delta_bar(mu_p2, ch)
-    Q, E = channel_gain_qber(mu_p2, ch)
-    return RatePoint(ch.L, gllp_rate(Q, E, min(1.0, delta_bar), s.f_ec), delta_bar, Q, E)
+    p_multi = poisson_multiphoton(mu_p2)
+    return lambda ch: tagged_rate(mu_p2, p_multi, ch, s.f_ec)
 
 
-def _pna_point(s, ch) -> RatePoint:
-    return pna_rate_bb84(_scheme_at(s, ch), ch, s.window, s.untagged, s.f_ec)
+def _pna_rate(s, scheme, window, untagged):
+    return lambda ch: pna_rate_bb84(scheme, ch, window, untagged, s.f_ec)
 
 
-def _pna_decoy_point(s, ch) -> RatePoint:
-    return decoy_rate_untagged(_scheme_at(s, ch), ch, s.decoy, s.window, s.untagged, s.untagged)
+def _pna_decoy_rate(s, scheme, window, untagged):
+    return lambda ch: decoy_rate_untagged(scheme, ch, s.decoy, window, untagged, untagged)
 
 
-def _trusted_decoy_point(s, ch) -> RatePoint:
-    return decoy_rate_trusted(ch, s.decoy.nu_s, s.decoy.nu_d, s.decoy.f_ec)
+def _trusted_decoy_rate(s, scheme, window, untagged):
+    return lambda ch: decoy_rate_trusted(ch, s.decoy.nu_s, s.decoy.nu_d, s.decoy.f_ec)
 
 
-# mode -> (keys it requires, its rate at one distance); mc-pipeline has no
-# sweep, its result is the untagged-fraction bound itself
+# mode -> (keys it requires, its rate): given the parsed scenario, one
+# scheme, the window and the untagged fraction, the rate makes the terms
+# that do not depend on distance once and returns the rate at a channel.
+# mc-pipeline has no sweep, its result is the untagged-fraction bound itself
 MODES = {
-    "apn-bb84": (("scheme", "channel", "sweep"), _apn_point),
-    "pna-bb84": (("scheme", "channel", "sweep", "window"), _pna_point),
-    "trusted-bb84": (("scheme", "channel", "sweep"), _trusted_point),
-    "pna-decoy": (("scheme", "channel", "decoy", "sweep"), _pna_decoy_point),
-    "trusted-decoy": (("channel", "decoy", "sweep"), _trusted_decoy_point),
+    "apn-bb84": (("scheme", "channel", "sweep"), _apn_rate),
+    "pna-bb84": (("scheme", "channel", "sweep", "window"), _pna_rate),
+    "trusted-bb84": (("scheme", "channel", "sweep"), _trusted_rate),
+    "pna-decoy": (("scheme", "channel", "decoy", "sweep"), _pna_decoy_rate),
+    "trusted-decoy": (("channel", "decoy", "sweep"), _trusted_decoy_rate),
     "mc-pipeline": (("scheme", "window"), None),
 }
 
@@ -330,18 +321,25 @@ def _format_row(L, rate, Q, E, delta_bar, untagged) -> str:
 
 def _run(s, threads: int):
     """(rows, summary, degenerate) of a parsed scenario."""
-    degenerate = False
+    window, untagged, degenerate = s.window, None, False
     if s.delta_source is not None:
-        s.window, s.untagged, degenerate = _untagged_fraction(s, threads)
-    point = MODES[s.mode][1]
-    if point is None:
-        rows = [_format_row(None, None, None, None, None, s.untagged)]
-        window = f"[{s.window.m1:g}, {s.window.m2:g}]"
-        return rows, {"untagged_lower": s.untagged, "window": window}, degenerate
+        window, untagged, degenerate = _untagged_fraction(s, threads)
+    mode_rate = MODES[s.mode][1]
+    if mode_rate is None:
+        rows = [_format_row(None, None, None, None, None, untagged)]
+        where = f"[{window.m1:g}, {window.m2:g}]"
+        return rows, {"untagged_lower": untagged, "window": where}, degenerate
+    # with lam fixed the scheme, and so the rate's multiphoton bound, serves
+    # every distance; an optimized lam gives a new scheme at each distance
+    rate = None if s.optimized else mode_rate(s, s.scheme, window, untagged)
     rows, max_secure = [], None
     for L in s.points:
-        p = point(s, s.channel.at_distance(L))
-        rows.append(_format_row(L, p.rate, p.Q, p.E, p.delta_bar, s.untagged))
+        ch = s.channel.at_distance(L)
+        if s.optimized:
+            scheme = replace(s.scheme, lam=_optimized_lam(s.scheme.mu, s.scheme.t_B, ch))
+            rate = mode_rate(s, scheme, window, untagged)
+        p = rate(ch)
+        rows.append(_format_row(L, p.rate, p.Q, p.E, p.delta_bar, untagged))
         if p.rate > 0.0:
             max_secure = L
     summary = {"max_secure_distance_km": max_secure if max_secure is not None else "none"}

@@ -1,4 +1,4 @@
-"""Exact binomial confidence bounds and the power-meter mean interval.
+"""Exact binomial confidence bounds.
 
 The Clopper-Pearson interval inverts the binomial tail probabilities
 exactly, which makes it conservative by construction: over repeated
@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.special import betaincinv, ndtri
+from scipy.special import betaincinv
 
-__all__ = ["ConfidenceResult", "ApnInterval", "clopper_pearson", "apn_interval"]
+__all__ = ["ConfidenceResult", "clopper_pearson"]
 
 
 @dataclass(frozen=True)
@@ -26,16 +25,6 @@ class ConfidenceResult:
     def __post_init__(self):
         if not self.lower <= self.upper:
             raise ValueError("lower bound exceeds upper bound")
-
-
-@dataclass(frozen=True)
-class ApnInterval:
-    """Confidence interval on the source average photon number."""
-
-    lower: float
-    upper: float
-    level: float
-    degenerate: bool = False
 
 
 def clopper_pearson(successes: int, trials: int, alpha: float) -> ConfidenceResult:
@@ -60,27 +49,3 @@ def clopper_pearson(successes: int, trials: int, alpha: float) -> ConfidenceResu
     lower = 0.0 if x == 0 else float(betaincinv(x, M - x + 1, half))
     upper = 1.0 if x == M else 1.0 - float(betaincinv(M - x, x + 1, half))
     return ConfidenceResult(lower=lower, upper=upper, level=1.0 - alpha)
-
-
-def apn_interval(records, xi: float, alpha: float) -> ApnInterval:
-    """CLT interval on the source APN from repeated power-meter records.
-
-    ``records`` are mean photoelectron counts per averaging period at the
-    monitor; their grand mean is normal for many records, so
-    [mean -+ z * sqrt(var/count)] bounds the true photoelectron mean and
-    dividing by the monitor transmittance ``xi`` maps it back to the source.
-    """
-    r = np.asarray(records, dtype=float)
-    if r.ndim != 1 or r.size < 2:
-        raise ValueError("need at least 2 records")
-    if not 0.0 < xi <= 1.0:
-        raise ValueError("xi must be in (0, 1]")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    mean = float(r.mean())
-    var = float(r.var(ddof=1))
-    if var == 0.0:
-        return ApnInterval(mean / xi, mean / xi, 1.0 - alpha, degenerate=True)
-    z = float(ndtri(1.0 - alpha / 2.0))
-    h = z * np.sqrt(var / r.size)
-    return ApnInterval((mean - h) / xi, (mean + h) / xi, 1.0 - alpha)

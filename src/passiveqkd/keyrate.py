@@ -6,9 +6,10 @@ f * H2(E) per detected bit, and only the untagged remainder distills key:
 
     R >= 1/2 * Q * { -f(E) * H2(E) + (1 - Delta) * [1 - H2(E / (1 - Delta))] }.
 
-The worst-case Delta differs per monitoring mode (average-photon-number
-monitor, two-threshold analyzer, trusted source), which is what the
-functions below encode.  Both three-intensity decoy rates at the end run
+The three BB84 modes (average-photon-number monitor, two-threshold
+analyzer, trusted source) share one such rate, ``tagged_rate``, and differ
+only in the bound on the multiphoton probability P_multi at the encoder
+output, with Delta-bar = P_multi / Q.  Both three-intensity decoy rates run
 one signal/decoy elimination: on window-selected untagged pulses with
 bracketed photon-number pmfs, and on a trusted source with exact ones.
 """
@@ -34,6 +35,8 @@ __all__ = [
     "binary_entropy",
     "channel_gain_qber",
     "gllp_rate",
+    "tagged_rate",
+    "poisson_multiphoton",
     "apn_delta_bar",
     "trusted_delta_bar",
     "lambda_A",
@@ -159,6 +162,26 @@ def gllp_rate(Q: float, E: float, delta_bar: float, f_ec: float = 1.0) -> float:
     return max(0.0, rate)
 
 
+def tagged_rate(mu_p2: float, p_multi: float, ch: ChannelParams, f_ec: float = 1.0) -> RatePoint:
+    """BB84 rate of a source whose multiphoton probability is at most ``p_multi``.
+
+    The pulse of APN ``mu_p2`` at the encoder output sets the gain Q and
+    QBER E; every multiphoton pulse is conceded as tagged, so Delta-bar =
+    p_multi / Q.  The APN monitor, the photon-number analyzer and the
+    trusted source differ only in the bound they pass here.
+    """
+    Q, E = channel_gain_qber(mu_p2, ch)
+    delta_bar = p_multi / Q
+    return RatePoint(ch.L, gllp_rate(Q, E, min(1.0, delta_bar), f_ec), delta_bar, Q, E)
+
+
+def poisson_multiphoton(mu: float) -> float:
+    """P(n >= 2) of a Poissonian pulse of APN ``mu``."""
+    if mu < 0.0:
+        raise ValueError("mu must be non-negative")
+    return -math.expm1(-mu) - mu * math.exp(-mu)
+
+
 def apn_delta_bar(
     scheme: PassiveSchemeParams, ch: ChannelParams, mu_upper: float
 ) -> float:
@@ -168,19 +191,13 @@ def apn_delta_bar(
     expected gain of the (Poissonian) source.
     """
     p_multi = maximize_ratio(scheme.eta, mu_upper).p_multi_upper
-    Q, _ = channel_gain_qber(mu_upper * scheme.eta, ch)
-    return p_multi / Q
+    return tagged_rate(mu_upper * scheme.eta, p_multi, ch).delta_bar
 
 
 def trusted_delta_bar(mu_p2: float, ch: ChannelParams) -> float:
     """Tagged fraction for a known Poissonian source of APN ``mu_p2``."""
-    if mu_p2 < 0.0:
-        raise ValueError("mu_p2 must be non-negative")
-    if mu_p2 == 0.0:
-        return 0.0
-    p_multi = -math.expm1(-mu_p2) - mu_p2 * math.exp(-mu_p2)
-    Q, _ = channel_gain_qber(mu_p2, ch)
-    return p_multi / Q
+    p_multi = poisson_multiphoton(mu_p2)
+    return 0.0 if mu_p2 == 0.0 else tagged_rate(mu_p2, p_multi, ch).delta_bar
 
 
 def lambda_A(scheme: PassiveSchemeParams) -> tuple[float, SchemeCase]:
@@ -214,7 +231,6 @@ def pna_rate_bb84(
         raise ValueError("one_minus_delta must be in [0, 1]")
     lam_a, _ = lambda_A(scheme)
     delta = 1.0 - one_minus_delta
-    Q, E = channel_gain_qber(scheme.mu * scheme.eta, ch)
     if w.m2 >= 2 and lam_a < 1.0:
         multi_hi = coefficient_a(int(math.floor(w.m2)), lam_a)
         if w.m1 >= 2:
@@ -223,9 +239,9 @@ def pna_rate_bb84(
         multi_worst = multi_hi
     else:
         multi_worst = 0.0 if w.m2 < 2 else 1.0
-    delta_bar = (delta + (1.0 - delta) * multi_worst) / Q
-    rate = 0.0 if delta >= 1.0 else gllp_rate(Q, E, min(delta_bar, 1.0), f_ec)
-    return RatePoint(L=ch.L, rate=rate, delta_bar=delta_bar, Q=Q, E=E)
+    point = tagged_rate(scheme.mu * scheme.eta, delta + (1.0 - delta) * multi_worst, ch, f_ec)
+    # all tagged: no key, even where Q = Y0 + click exceeds 1 and so Delta-bar < 1
+    return replace(point, rate=0.0) if delta >= 1.0 else point
 
 
 def _log_binom_pmf(m: float, n: int, lam: float) -> float:

@@ -223,6 +223,10 @@ INF, NAN = math.inf, math.nan
         pytest.param(changed(bundled("decoy-trusted"), "decoy", nu_s=INF), [], "decoy.nu_s",
                      id="decoy-nu_s-inf"),
         pytest.param(dict(GOOD_TRUSTED, f_ec=INF), [], "f_ec", id="f_ec-inf"),
+        pytest.param(changed(GOOD_TRUSTED, "sweep", L_end=1e12, L_step=1.0), [], "sweep.L_step",
+                     id="sweep-1e12-points"),
+        pytest.param(changed(GOOD_TRUSTED, "sweep", L_end=1e308, L_step=1e-308), [],
+                     "sweep.L_step", id="sweep-points-overflow"),
     ],
 )
 def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, data, flags, field):
@@ -268,6 +272,20 @@ def test_bundled_scenario_table_matches_golden(name):
     out = io.StringIO()
     assert run_scenario(name, stream=out) == EXIT_OK
     assert out.getvalue() == (GOLDEN / f"{name}.tsv").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "name, per_distance", [("ideal-apn", False), ("lowtrans-apn", False), ("realistic-apn", True)]
+)
+def test_worst_case_bound_is_computed_once_per_scheme(monkeypatch, name, per_distance):
+    # a fixed lam gives one scheme for the whole sweep, an optimized lam one per distance
+    calls = []
+    original = passiveqkd.cli.maximize_ratio
+    monkeypatch.setattr(passiveqkd.cli, "maximize_ratio",
+                        lambda *args: calls.append(args) or original(*args))
+    assert run_scenario(name, stream=io.StringIO()) == EXIT_OK
+    points = validate_scenario_dict(bundled(name)).scenario.points
+    assert len(calls) == (len(points) if per_distance else 1)
 
 
 @pytest.mark.parametrize("m1", [0, -5])

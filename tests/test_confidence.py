@@ -1,4 +1,4 @@
-"""Clopper-Pearson interval and the power-meter APN interval."""
+"""Clopper-Pearson interval."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from passiveqkd import apn_interval, clopper_pearson
+from passiveqkd import clopper_pearson
 
 
 def binomial_tail_ge(x, M, p):
@@ -100,27 +100,3 @@ def test_validation():
         clopper_pearson(11, 10, 0.05)
     with pytest.raises(ValueError):
         clopper_pearson(5, 10, 0.0)
-
-
-def test_apn_interval_basic():
-    rng = np.random.default_rng(0)
-    records = rng.normal(1000.0, 5.0, size=400)
-    res = apn_interval(records, xi=0.5, alpha=0.05)
-    assert res.lower < records.mean() / 0.5 < res.upper
-    assert not res.degenerate
-    # more records shrink the interval
-    wide = apn_interval(records[:50], xi=0.5, alpha=0.05)
-    assert wide.upper - wide.lower > res.upper - res.lower
-
-
-def test_apn_interval_degenerate_on_constant_records():
-    res = apn_interval([7.0, 7.0, 7.0], xi=0.7, alpha=0.05)
-    assert res.degenerate
-    assert res.lower == res.upper == pytest.approx(10.0)
-
-
-def test_apn_interval_validation():
-    with pytest.raises(ValueError):
-        apn_interval([1.0], xi=0.5, alpha=0.05)
-    with pytest.raises(ValueError):
-        apn_interval([1.0, 2.0], xi=0.0, alpha=0.05)

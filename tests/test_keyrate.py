@@ -27,7 +27,9 @@ from passiveqkd import (
     lambda_A,
     multiphoton_probability,
     pna_rate_bb84,
+    poisson_multiphoton,
     poisson_pnd,
+    tagged_rate,
     trusted_delta_bar,
 )
 
@@ -78,11 +80,38 @@ def test_gllp_rate_never_negative(Q, E, delta, f_ec):
     assert gllp_rate(Q, E, delta, f_ec) >= 0.0
 
 
+def test_tagged_rate_is_the_gllp_composition_bit_for_bit():
+    # the hand-written composition every BB84 mode used to repeat; both
+    # clamps of gllp_rate must be reached, Delta-bar >= 1 and E/(1 - Delta-bar) > 1/2
+    rng = np.random.default_rng(20260824)
+    all_tagged = untagged_too_noisy = 0
+    for _ in range(400):
+        ch = ChannelParams(eta_B=rng.uniform(0.01, 1.0), alpha_prime=rng.uniform(0.0, 0.4),
+                           Y0=10.0 ** rng.uniform(-7.0, -3.0), e_det=rng.uniform(0.0, 0.1),
+                           L=rng.uniform(0.0, 200.0))
+        mu_p2 = 10.0 ** rng.uniform(-3.0, 0.5)
+        f_ec = rng.uniform(1.0, 1.5)
+        Q, E = channel_gain_qber(mu_p2, ch)
+        p_multi = rng.uniform(0.0, 1.5) * Q
+        point = tagged_rate(mu_p2, p_multi, ch, f_ec)
+        assert point.rate == gllp_rate(Q, E, min(1.0, p_multi / Q), f_ec)
+        assert (point.L, point.Q, point.E, point.delta_bar) == (ch.L, Q, E, p_multi / Q)
+        all_tagged += point.delta_bar >= 1.0
+        untagged_too_noisy += point.delta_bar < 1.0 and E / (1.0 - point.delta_bar) > 0.5
+    assert all_tagged > 0 and untagged_too_noisy > 0
+
+
 def test_trusted_delta_bar_matches_pnd_computation():
     mu = 0.1
     ch = ChannelParams(eta_B=1.0, alpha_prime=0.21, Y0=0.0, e_det=0.0)
     expected = multiphoton_probability(poisson_pnd(mu)) / channel_gain_qber(mu, ch)[0]
     assert trusted_delta_bar(mu, ch) == pytest.approx(expected, rel=1e-9)
+    for mu in (1e-4, 0.5, 3.0):
+        expected = multiphoton_probability(poisson_pnd(mu))
+        assert poisson_multiphoton(mu) == pytest.approx(expected, rel=1e-9, abs=1e-15)
+    assert poisson_multiphoton(0.0) == 0.0
+    with pytest.raises(ValueError):
+        poisson_multiphoton(-0.1)
 
 
 def test_apn_delta_bar_uses_worst_case_source():
