@@ -192,8 +192,13 @@ def validate_scenario_dict(data: dict) -> ValidationReport:
             report.add(key, f"required for mode {mode}")
     if source == "exact" and not isinstance(data.get("window"), dict):
         report.add("window", "delta_source 'exact' needs a fixed {m1, m2} window")
-    if "f_ec" in data and (_mistyped(data["f_ec"], "float") or not data["f_ec"] >= 1.0):
+    if "f_ec" in data and mode.endswith("-decoy"):
+        report.add("f_ec", f"not read by mode {mode}: set decoy.f_ec")
+    elif "f_ec" in data and (_mistyped(data["f_ec"], "float") or not data["f_ec"] >= 1.0):
         report.add("f_ec", "must be a finite number >= 1")
+    if data.get("noise") is not None and source != "pipeline":
+        report.add("noise", "read only where the pipeline runs: mode mc-pipeline, "
+                            "or a pna-* mode with delta_source 'pipeline'")
     if data.get("output") is not None and not isinstance(data["output"], str):
         report.add("output", "must be a path string")
 
@@ -231,6 +236,9 @@ def validate_scenario_dict(data: dict) -> ValidationReport:
         scheme = _build(report, "scheme", PassiveSchemeParams, blocks["scheme"])
     elif optimized and "channel" not in MODES[mode][0]:
         report.add("scheme.lam", f"'optimized' needs a channel, and mode {mode} has none")
+    elif optimized and mode == "pna-decoy":
+        report.add("scheme.lam", "'optimized' is not read by mode pna-decoy, whose "
+                                 "attenuators are decoy.lambda_s and decoy.lambda_d")
     elif optimized and channel is not None and points is not None:
         # lam is largest at the first distance, so the constructor's upper
         # bounds checked there hold for the whole sweep
@@ -381,7 +389,7 @@ def run_scenario(
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
 
-    if s.scheme is not None and s.noise is not None:
+    if s.noise is not None:  # only where the pipeline ran, with a scheme
         mean_m = s.scheme.mu * s.scheme.t_B * s.scheme.t_D
         if isinstance(s.noise, PoissonNoise):
             summary["R_SN_p"] = mean_m / s.noise.gamma

@@ -1,4 +1,4 @@
-"""Channel model, GLLP-style key rates, and the passive-scheme case analysis.
+"""Channel model, GLLP-style key rates, and decoy-state estimation.
 
 Rates follow the tagged-bits accounting: a fraction Delta-bar of detection
 events is conceded to the eavesdropper, error correction leaks
@@ -16,22 +16,20 @@ bracketed photon-number pmfs, and on a trusted source with exact ones.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
 from functools import partial
 
-from scipy.special import gammaln, xlogy
+from scipy.special import xlogy
 
 from .noise_bounds import ThresholdWindow
-from .photon_stats import PassiveSchemeParams
+from .photon_stats import PassiveSchemeParams, log_binom_pmf
 from .worstcase import coefficient_a, maximize_ratio
 
 __all__ = [
     "ChannelParams",
     "DecoySettings",
     "RatePoint",
-    "SchemeCase",
     "binary_entropy",
     "channel_gain_qber",
     "gllp_rate",
@@ -39,7 +37,6 @@ __all__ = [
     "poisson_multiphoton",
     "apn_delta_bar",
     "trusted_delta_bar",
-    "lambda_A",
     "pna_rate_bb84",
     "decoy_rate_untagged",
     "decoy_rate_trusted",
@@ -100,12 +97,6 @@ class DecoySettings:
             raise ValueError("lambda_d must satisfy 0 < lambda_d < lambda_s")
         if self.f_ec < 1.0:
             raise ValueError("f_ec must be >= 1")
-
-
-class SchemeCase(enum.Enum):
-    I = "I"
-    II = "II"
-    III = "III"
 
 
 @dataclass(frozen=True)
@@ -200,19 +191,6 @@ def trusted_delta_bar(mu_p2: float, ch: ChannelParams) -> float:
     return 0.0 if mu_p2 == 0.0 else tagged_rate(mu_p2, p_multi, ch).delta_bar
 
 
-def lambda_A(scheme: PassiveSchemeParams) -> tuple[float, SchemeCase]:
-    """Effective transmittance seen by window-selected pulses, with the case id.
-
-    Case I: balanced arms (t_B * t_D == 1 - t_B), lambda_A equals lam exactly.
-    Case II: monitor arm weaker, needs lam <= t_B * t_D / (1 - t_B).
-    Case III: monitor arm stronger (t_B * t_D > 1 - t_B).
-    """
-    if abs(scheme.t_B * scheme.t_D - (1.0 - scheme.t_B)) < 1e-12:
-        return scheme.lam, SchemeCase.I
-    case = SchemeCase.III if scheme.t_B * scheme.t_D > 1.0 - scheme.t_B else SchemeCase.II
-    return scheme.lambda_a, case
-
-
 def pna_rate_bb84(
     scheme: PassiveSchemeParams,
     ch: ChannelParams,
@@ -229,7 +207,7 @@ def pna_rate_bb84(
     """
     if not 0.0 <= one_minus_delta <= 1.0:
         raise ValueError("one_minus_delta must be in [0, 1]")
-    lam_a, _ = lambda_A(scheme)
+    lam_a = scheme.lambda_a
     delta = 1.0 - one_minus_delta
     if w.m2 >= 2 and lam_a < 1.0:
         multi_hi = coefficient_a(int(math.floor(w.m2)), lam_a)
@@ -244,17 +222,6 @@ def pna_rate_bb84(
     return replace(point, rate=0.0) if delta >= 1.0 else point
 
 
-def _log_binom_pmf(m: float, n: int, lam: float) -> float:
-    # log C(m, n) + n log lam + (m - n) log(1 - lam), for integer-like m
-    return float(
-        gammaln(m + 1)
-        - gammaln(n + 1)
-        - gammaln(m - n + 1)
-        + n * math.log(lam)
-        + (m - n) * math.log1p(-lam)
-    )
-
-
 def _binom_pmf_range(n: int, lam: float, m1: float, m2: float) -> tuple[float, float]:
     """Min and max over m in [m1, m2] of the Binomial(m, lam) pmf at n.
 
@@ -267,7 +234,7 @@ def _binom_pmf_range(n: int, lam: float, m1: float, m2: float) -> tuple[float, f
         for mm in (m_star - 1, m_star, m_star + 1):
             if m1 <= mm <= m2:
                 candidates.append(float(mm))
-    vals = [math.exp(_log_binom_pmf(m, n, lam)) for m in candidates]
+    vals = [math.exp(log_binom_pmf(n, m, lam)) for m in candidates]
     return min(vals[:2]), max(vals)
 
 
@@ -354,8 +321,9 @@ def decoy_rate_untagged(
         if not 0.0 <= omd <= 1.0:
             raise ValueError("untagged fractions must be in [0, 1]")
     m1, m2 = max(0.0, w.m1), w.m2
-    lam_s = lambda_A(replace(scheme, lam=settings.lambda_s))[0]
-    lam_d = lambda_A(replace(scheme, lam=settings.lambda_d))[0]
+    # each attenuator as the scheme's own, whose constructor rejects lambda_A > 1
+    lam_s = replace(scheme, lam=settings.lambda_s).lambda_a
+    lam_d = replace(scheme, lam=settings.lambda_d).lambda_a
     Q_s, E_s = channel_gain_qber(scheme.mu * (1.0 - scheme.t_B) * settings.lambda_s, ch)
     Q_d, E_d = channel_gain_qber(scheme.mu * (1.0 - scheme.t_B) * settings.lambda_d, ch)
 

@@ -120,6 +120,18 @@ class PassiveSchemeParams:
 
     @property
     def lambda_a(self) -> float:
+        """Effective attenuation lambda_A of window-selected pulses.
+
+        Thinning a pulse by xi to the monitor reference and then by lambda_A
+        gives the encoder output (xi * lambda_A = eta).  The paper's three
+        arm cases are this one formula:
+
+        * Case I, balanced arms (t_B * t_D == 1 - t_B): lambda_A = lam.
+        * Case II, monitor arm weaker (t_B * t_D < 1 - t_B): lambda_A > lam,
+          so it needs lam <= t_B * t_D / (1 - t_B), which the constructor
+          checks.
+        * Case III, monitor arm stronger (t_B * t_D > 1 - t_B): lambda_A < lam.
+        """
         return (1.0 - self.t_B) * self.lam / (self.t_B * self.t_D)
 
 
@@ -154,6 +166,21 @@ def poisson_pnd(
     return PhotonNumberDistribution(probs=probs, tail_mass=tail)
 
 
+def log_binom_pmf(k, n, p: float):
+    """log of the Binomial(n, p) pmf at k, elementwise; ``n`` may be real.
+
+    log C(n, k) + k log p + (n - k) log(1 - p), with C(n, k) through
+    log-gamma.
+    """
+    return (
+        gammaln(n + 1)
+        - gammaln(k + 1)
+        - gammaln(n - k + 1)
+        + k * math.log(p)
+        + (n - k) * math.log1p(-p)
+    )
+
+
 def bernoulli_transform(
     p: PhotonNumberDistribution, t: float
 ) -> PhotonNumberDistribution:
@@ -179,9 +206,7 @@ def bernoulli_transform(
     m = n[:, None]  # output index
     nn = n[None, :]  # input index
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_binom = gammaln(nn + 1) - gammaln(m + 1) - gammaln(nn - m + 1)
-        log_kernel = log_binom + m * math.log(t) + (nn - m) * math.log1p(-t)
-    kernel = np.where(nn >= m, np.exp(log_kernel), 0.0)
+        kernel = np.where(nn >= m, np.exp(log_binom_pmf(m, nn, t)), 0.0)
     out = kernel @ p.probs
     return PhotonNumberDistribution(out, p.tail_mass)
 

@@ -29,7 +29,6 @@ from passiveqkd import (
     decoy_rate_trusted,
     decoy_rate_untagged,
     gllp_rate,
-    lambda_A,
     maximize_ratio,
     pna_rate_bb84,
     poisson_pnd,
@@ -359,7 +358,7 @@ def test_criterion_8_property_suites():
         t_D = rng.uniform(0.3, 1.0)
         lam = rng.uniform(0.05, 1.0) * min(1.0, t_B * t_D / (1.0 - t_B))
         scheme = PassiveSchemeParams(t_B=t_B, t_D=t_D, lam=lam, mu=1.0)
-        lam_a, _ = lambda_A(scheme)
+        lam_a = scheme.lambda_a
         p = PhotonNumberDistribution(rng.dirichlet(np.ones(31)))
         via = bernoulli_transform(bernoulli_transform(p, scheme.xi), lam_a)
         lam_ok &= bool(np.allclose(via.probs, bernoulli_transform(p, scheme.eta).probs, atol=1e-10))

@@ -190,6 +190,14 @@ def bundled(name):
 
 
 INF, NAN = math.inf, math.nan
+# decoy-gaussian-noise with a fixed window and no pipeline
+PNA_DECOY = {
+    **{k: v for k, v in bundled("decoy-gaussian-noise").items()
+       if k not in ("noise", "alpha", "M", "seed")},
+    "delta_source": "exact",
+    "window": {"m1": 9.9e6, "m2": 1.01e7},
+}
+GAUSSIAN_NOISE = {"type": "gaussian", "sigma2": 1e9}
 
 
 @pytest.mark.parametrize(
@@ -227,6 +235,15 @@ INF, NAN = math.inf, math.nan
                      id="sweep-1e12-points"),
         pytest.param(changed(GOOD_TRUSTED, "sweep", L_end=1e308, L_step=1e-308), [],
                      "sweep.L_step", id="sweep-points-overflow"),
+        pytest.param(dict(bundled("decoy-trusted"), f_ec=1.9), [], "f_ec",
+                     id="trusted-decoy-top-level-f_ec"),
+        pytest.param(dict(PNA_DECOY, f_ec=1.9), [], "f_ec", id="pna-decoy-top-level-f_ec"),
+        pytest.param(dict(bundled("ideal-apn"), noise=GAUSSIAN_NOISE), [], "noise",
+                     id="apn-noise"),
+        pytest.param(dict(bundled("lowtrans-pna"), noise=GAUSSIAN_NOISE), [], "noise",
+                     id="exact-pna-noise"),
+        pytest.param(changed(PNA_DECOY, "scheme", lam="optimized"), [], "scheme.lam",
+                     id="pna-decoy-lam-optimized"),
     ],
 )
 def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, data, flags, field):
@@ -243,6 +260,13 @@ def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, data, flags, field
 def test_non_finite_number_is_named_as_such():
     report = validate_scenario_dict(changed(GOOD_TRUSTED, "scheme", mu=INF))
     assert report.errors == [{"field": "scheme.mu", "message": "must be a finite number"}]
+
+
+def test_top_level_f_ec_in_a_decoy_mode_points_to_decoy_f_ec():
+    assert validate_scenario_dict(PNA_DECOY).ok
+    report = validate_scenario_dict(dict(PNA_DECOY, f_ec=1.9))
+    assert report.errors == [{"field": "f_ec", "message": "not read by mode pna-decoy: "
+                                                          "set decoy.f_ec"}]
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])

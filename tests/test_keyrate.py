@@ -14,7 +14,6 @@ from passiveqkd import (
     DecoySettings,
     PassiveSchemeParams,
     PhotonNumberDistribution,
-    SchemeCase,
     ThresholdWindow,
     apn_delta_bar,
     bernoulli_transform,
@@ -24,7 +23,6 @@ from passiveqkd import (
     decoy_rate_untagged,
     gllp_rate,
     keyrate,
-    lambda_A,
     multiphoton_probability,
     pna_rate_bb84,
     poisson_multiphoton,
@@ -123,13 +121,8 @@ def test_apn_delta_bar_uses_worst_case_source():
 
 
 def test_lambda_A_cases():
-    assert lambda_A(PassiveSchemeParams(0.5, 1.0, 0.3, 1.0))[1] is SchemeCase.I
-    assert lambda_A(PassiveSchemeParams(0.5, 0.5, 0.2, 1.0))[1] is SchemeCase.II
-    assert lambda_A(PassiveSchemeParams(0.8, 0.9, 0.3, 1.0))[1] is SchemeCase.III
     # Case I: the effective transmittance is the attenuator itself
-    value, case = lambda_A(PassiveSchemeParams(0.5, 1.0, 0.3, 1.0))
-    assert case is SchemeCase.I
-    assert value == pytest.approx(0.3, abs=1e-12)
+    assert PassiveSchemeParams(0.5, 1.0, 0.3, 1.0).lambda_a == pytest.approx(0.3, abs=1e-12)
 
 
 def test_lambda_A_rejects_gain():
@@ -148,7 +141,7 @@ def test_lambda_A_case_equivalence_oracle():
         cap = t_B * t_D / (1.0 - t_B)
         lam = rng.uniform(0.05, 1.0) * min(1.0, cap)
         scheme = PassiveSchemeParams(t_B=t_B, t_D=t_D, lam=lam, mu=1.0)
-        lam_a, _ = lambda_A(scheme)
+        lam_a = scheme.lambda_a
         probs = rng.dirichlet(np.ones(31))  # n_max = 30
         pnd = PhotonNumberDistribution(probs)
         via_monitor = bernoulli_transform(bernoulli_transform(pnd, scheme.xi), lam_a)
@@ -293,7 +286,7 @@ def test_decoy_elimination_never_beats_an_admissible_attack(monkeypatch):
     for w in windows:
         decoy_rate_untagged(TABLE2_SCHEME, GYS, TABLE2_DECOY, w, 1.0, 1.0)
     lams = [
-        lambda_A(replace(TABLE2_SCHEME, lam=lam))[0]
+        replace(TABLE2_SCHEME, lam=lam).lambda_a
         for lam in (TABLE2_DECOY.lambda_s, TABLE2_DECOY.lambda_d)
     ]
 
