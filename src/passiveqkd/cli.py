@@ -199,6 +199,12 @@ def validate_scenario_dict(data: dict) -> ValidationReport:
     if data.get("noise") is not None and source != "pipeline":
         report.add("noise", "read only where the pipeline runs: mode mc-pipeline, "
                             "or a pna-* mode with delta_source 'pipeline'")
+    # only the untagged-fraction modes read a window and its source
+    unread = [] if source is not None else ["window", "delta_source"]
+    unread += ["scheme"] if mode == "trusted-decoy" else []
+    for key in unread:
+        if data.get(key) is not None:
+            report.add(key, f"not read by mode {mode}")
     if data.get("output") is not None and not isinstance(data["output"], str):
         report.add("output", "must be a path string")
 

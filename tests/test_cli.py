@@ -244,6 +244,16 @@ GAUSSIAN_NOISE = {"type": "gaussian", "sigma2": 1e9}
                      id="exact-pna-noise"),
         pytest.param(changed(PNA_DECOY, "scheme", lam="optimized"), [], "scheme.lam",
                      id="pna-decoy-lam-optimized"),
+        pytest.param(dict(bundled("decoy-trusted"), scheme=GOOD_TRUSTED["scheme"]), [],
+                     "scheme", id="trusted-decoy-scheme"),
+        pytest.param(dict(bundled("ideal-apn"), window={"m1": 40.0, "m2": 60.0}), [], "window",
+                     id="apn-window"),
+        pytest.param(dict(bundled("ideal-apn"), delta_source="pipeline"), [], "delta_source",
+                     id="apn-delta-source"),
+        pytest.param(dict(bundled("ideal-trusted"), window="auto-minmax"), [], "window",
+                     id="trusted-window"),
+        pytest.param(dict(bundled("ideal-trusted"), delta_source="pipeline"), [],
+                     "delta_source", id="trusted-delta-source"),
     ],
 )
 def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, data, flags, field):
@@ -267,6 +277,17 @@ def test_top_level_f_ec_in_a_decoy_mode_points_to_decoy_f_ec():
     report = validate_scenario_dict(dict(PNA_DECOY, f_ec=1.9))
     assert report.errors == [{"field": "f_ec", "message": "not read by mode pna-decoy: "
                                                           "set decoy.f_ec"}]
+
+
+def test_key_a_mode_does_not_read_is_named_with_the_mode():
+    data = dict(bundled("decoy-trusted"), scheme=GOOD_TRUSTED["scheme"])
+    report = validate_scenario_dict(data)
+    assert report.errors == [{"field": "scheme", "message": "not read by mode trusted-decoy"}]
+    data = dict(bundled("ideal-apn"), window={"m1": 40.0, "m2": 60.0}, delta_source="pipeline")
+    assert validate_scenario_dict(data).errors == [
+        {"field": key, "message": "not read by mode apn-bb84"}
+        for key in ("window", "delta_source")
+    ]
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from passiveqkd import (
     ExplicitSource,
@@ -42,6 +43,18 @@ def test_run_is_deterministic():
 def test_run_independent_of_thread_count():
     # blocks own their RNG streams, so any parallel split reduces identically
     config = make_config(M=3_000_000)
+    single = run(config, threads=1)
+    assert run(config, threads=4) == single
+    assert run(config, threads=7) == single
+
+
+def test_explicit_run_independent_of_thread_count():
+    # the per-pulse path: three 2^20-pulse blocks, the last one partial
+    config = make_config(
+        M=2 * 2**20 + 12_345,
+        source=ExplicitSource(poisson_pnd(1000.0)),
+        noise=GaussianNoise(25.0),
+    )
     single = run(config, threads=1)
     assert run(config, threads=4) == single
     assert run(config, threads=7) == single
@@ -152,7 +165,93 @@ def test_config_validation():
         PoissonianSource(0.0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("M", 2.5), ("M", 1000.0), ("M", True), ("M", "1000"), ("seed", 1.5), ("seed", 7.0),
+     ("seed", False)],
+)
+def test_config_rejects_non_integer_count_or_seed(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        make_config(**{field: value})
+
+
+def test_config_takes_numpy_integers_as_int():
+    config = make_config(M=np.int64(1000), seed=np.uint64(2**63 + 5))
+    assert type(config.M) is int and type(config.seed) is int
+    assert config == make_config(M=1000, seed=2**63 + 5)
+
+
 def test_explicit_source_rejects_heavy_tail():
     pnd = poisson_pnd(50.0, n_max=60, tail_tol=1.0)
     with pytest.raises(ValueError, match="tail"):
         ExplicitSource(pnd)
+
+
+ORACLE_SCHEME = PassiveSchemeParams(t_B=0.9, t_D=0.76, lam=0.5, mu=40.0)
+ORACLE_WINDOW = ThresholdWindow(24.0, 32.0)  # about half of m' (mean 27.4 + noise)
+SIGNIFICANCE = 1e-3  # per comparison; the seeds are fixed, so the verdict is too
+
+
+def _draws(source, noise, window, M, n, seed0):
+    """(k', min, max) of n runs on consecutive seeds, one column each."""
+    runs = [
+        run(RunConfig(M=M, seed=seed0 + i, source=source, scheme=ORACLE_SCHEME,
+                      noise=noise, window=window))
+        for i in range(n)
+    ]
+    return np.array([(r.k_prime, r.observed_min, r.observed_max) for r in runs]).T
+
+
+def _same_distribution_p(x, y) -> float:
+    """Two-sample p-value: chi-square on the counts of a small discrete
+    support, Kolmogorov-Smirnov otherwise (conservative under ties)."""
+    values = np.union1d(x, y)
+    if values.size <= 10:
+        table = [[np.count_nonzero(s == v) for v in values] for s in (x, y)]
+        return 1.0 if values.size == 1 else stats.chi2_contingency(table).pvalue
+    return stats.ks_2samp(x, y).pvalue
+
+
+@pytest.mark.parametrize(
+    "noise, M, auto",
+    [
+        pytest.param(None, 2000, True, id="noiseless"),
+        pytest.param(PoissonNoise(3.0), 2000, True, id="poisson"),
+        pytest.param(GaussianNoise(4.0), 2000, True, id="gaussian"),
+        pytest.param(GaussianNoise(4.0), 1, False, id="gaussian-M1"),
+        pytest.param(PoissonNoise(3.0), 2, False, id="poisson-M2"),
+    ],
+)
+def test_exact_draw_matches_per_pulse_oracle(noise, M, auto):
+    # the exact draw of a Poissonian source against per-pulse sampling of
+    # the same photon-number distribution: min, max and their range under
+    # auto-minmax (or the fixed window where ties make auto-minmax
+    # undefined), k' in the fixed window
+    n = 500
+    exact, oracle = PoissonianSource(40.0), ExplicitSource(poisson_pnd(40.0))
+    window = None if auto else ORACLE_WINDOW
+    _, lo_e, hi_e = _draws(exact, noise, window, M, n, seed0=10_000)
+    _, lo_o, hi_o = _draws(oracle, noise, window, M, n, seed0=20_000)
+    k_e, _, _ = _draws(exact, noise, ORACLE_WINDOW, M, n, seed0=30_000)
+    k_o, _, _ = _draws(oracle, noise, ORACLE_WINDOW, M, n, seed0=40_000)
+    if M == 1:
+        assert np.array_equal(lo_e, hi_e)
+    p_values = {
+        "min": _same_distribution_p(lo_e, lo_o),
+        "max": _same_distribution_p(hi_e, hi_o),
+        "range": _same_distribution_p(hi_e - lo_e, hi_o - lo_o),  # the joint law
+        "k'": _same_distribution_p(k_e, k_o),
+    }
+    assert min(p_values.values()) > SIGNIFICANCE, p_values
+
+
+def test_exact_fixed_window_count_matches_hit_probability():
+    # k' of the exact draw is Binomial(M, P_hit) overall: mean and spread
+    # over seeds against the Poisson window mass
+    M, n = 10_000, 400
+    k, _, _ = _draws(PoissonianSource(40.0), None, ORACLE_WINDOW, M, n, seed0=50_000)
+    rate = ORACLE_SCHEME.mu * ORACLE_SCHEME.xi
+    p_hit = stats.poisson.cdf(32, rate) - stats.poisson.cdf(23, rate)
+    sd = np.sqrt(M * p_hit * (1.0 - p_hit))
+    assert abs(k.mean() - M * p_hit) < 4.0 * sd / np.sqrt(n)
+    assert 0.85 < k.std() / sd < 1.15
