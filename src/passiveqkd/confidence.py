@@ -5,6 +5,10 @@ exactly, which makes it conservative by construction: over repeated
 experiments the true proportion is covered at least 1 - alpha of the time.
 Each bound is one inversion of the regularized incomplete beta function,
 so trial counts of 10^8 and beyond stay tractable.
+
+A window whose thresholds are the observed minimum and maximum is not fixed
+before the count, so Clopper-Pearson does not apply to it; its coverage is
+bounded as a tolerance interval instead (``minmax_coverage_lower``).
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 from scipy.special import betaincinv
 
-__all__ = ["ConfidenceResult", "clopper_pearson"]
+__all__ = ["ConfidenceResult", "clopper_pearson", "minmax_coverage_lower"]
 
 
 @dataclass(frozen=True)
@@ -49,3 +53,21 @@ def clopper_pearson(successes: int, trials: int, alpha: float) -> ConfidenceResu
     lower = 0.0 if x == 0 else float(betaincinv(x, M - x + 1, half))
     upper = 1.0 if x == M else 1.0 - float(betaincinv(M - x, x + 1, half))
     return ConfidenceResult(lower=lower, upper=upper, level=1.0 - alpha)
+
+
+def minmax_coverage_lower(trials: int, alpha: float) -> float:
+    """Lower (1 - alpha/2) confidence bound on the mass covered by [min, max].
+
+    For M iid draws from a continuous distribution the mass F(max) - F(min)
+    is U_(M) - U_(1) of M uniforms, which has the Beta(M - 1, 2) law
+    (Wilks, Ann. Math. Statist. 12, 91-96, 1941); the bound is its alpha/2
+    quantile, the same one-sided level as ``clopper_pearson``'s lower
+    bound.  On a discrete support the covered mass, counted with the
+    endpoints, is stochastically larger, so the bound stays conservative.
+    """
+    M = int(trials)
+    if M < 2:
+        raise ValueError("trials must be at least 2 for a min/max window")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
+    return float(betaincinv(M - 1, 2, alpha / 2.0))

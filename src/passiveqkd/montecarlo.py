@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtriv, gammaln, ndtr, ndtri, pdtr, pdtrc, pdtrik, xlogy
 
-from .confidence import clopper_pearson
+from .confidence import clopper_pearson, minmax_coverage_lower
 from .noise_bounds import (
     GaussianNoise,
     NoiseModel,
@@ -320,9 +320,15 @@ def run_pipeline(config: RunConfig, alpha: float, threads: int = 1) -> PipelineR
     confidence bound on the window-hit probability, and converts it into a
     bound on the windowed signal mass using the configured noise model.
     In the noiseless case the confidence bound is the answer directly.
+    Under auto-minmax the window comes from the same pulses it counts
+    (k' = M), so the hit probability is bounded as the coverage of a
+    tolerance interval (Wilks), not by Clopper-Pearson at k' = M.
     """
     res = run(config, threads=threads)
-    p_lower = clopper_pearson(res.k_prime, config.M, alpha).lower
+    if config.window is None:
+        p_lower = minmax_coverage_lower(config.M, alpha)
+    else:
+        p_lower = clopper_pearson(res.k_prime, config.M, alpha).lower
     w = res.effective_window
     if config.noise is None:
         return PipelineResult(p_lower, w, res.k_prime)

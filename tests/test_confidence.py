@@ -1,4 +1,4 @@
-"""Clopper-Pearson interval."""
+"""Clopper-Pearson interval and the min/max tolerance-interval bound."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from passiveqkd import clopper_pearson
+from passiveqkd import clopper_pearson, minmax_coverage_lower
 
 
 def binomial_tail_ge(x, M, p):
@@ -100,3 +100,33 @@ def test_validation():
         clopper_pearson(11, 10, 0.05)
     with pytest.raises(ValueError):
         clopper_pearson(5, 10, 0.0)
+
+
+@pytest.mark.parametrize("M", [2, 3, 10, 1000, 10**8])
+@pytest.mark.parametrize("alpha", [0.05, 1e-6])
+def test_minmax_coverage_bound_solves_the_beta_tail(M, alpha):
+    # coverage U_(M) - U_(1) ~ Beta(M - 1, 2): P(C <= c) = M c^(M-1) - (M-1) c^M
+    c = minmax_coverage_lower(M, alpha)
+    tail = M * c ** (M - 1) - (M - 1) * c**M
+    assert tail == pytest.approx(alpha / 2.0, rel=1e-6)
+
+
+def test_minmax_coverage_bound_covers_uniform_extremes():
+    rng = np.random.default_rng(12)
+    M, alpha, n = 50, 0.1, 20_000
+    u = rng.random((n, M))
+    misses = np.count_nonzero(u.max(axis=1) - u.min(axis=1) < minmax_coverage_lower(M, alpha))
+    se = math.sqrt(alpha / 2.0 * (1.0 - alpha / 2.0) / n)
+    assert abs(misses / n - alpha / 2.0) < 4.0 * se
+
+
+def test_minmax_coverage_bound_is_below_clopper_pearson_at_full_count():
+    for M in (10, 10**4, 10**8):
+        assert minmax_coverage_lower(M, 1e-6) < clopper_pearson(M, M, 1e-6).lower
+
+
+def test_minmax_coverage_validation():
+    with pytest.raises(ValueError, match="at least 2"):
+        minmax_coverage_lower(1, 0.05)
+    with pytest.raises(ValueError, match="alpha"):
+        minmax_coverage_lower(10, 1.0)

@@ -255,3 +255,21 @@ def test_exact_fixed_window_count_matches_hit_probability():
     sd = np.sqrt(M * p_hit * (1.0 - p_hit))
     assert abs(k.mean() - M * p_hit) < 4.0 * sd / np.sqrt(n)
     assert 0.85 < k.std() / sd < 1.15
+
+
+def test_auto_minmax_bound_is_sound_without_noise():
+    # criterion 6's check on the noiseless pipeline: the window comes from
+    # the same pulses it counts, so its reported hit probability must stay
+    # below the true window mass in all but alpha of the runs
+    mean_m = 1e4
+    scheme = PassiveSchemeParams(t_B=0.9, t_D=0.76, lam=3.42e-7, mu=mean_m / 0.684)
+    alpha, M, n_runs = 0.05, 10_000, 2000
+    violations = 0
+    for i in range(n_runs):
+        config = RunConfig(M=M, seed=5_000_000 + i, source=PoissonianSource(scheme.mu),
+                           scheme=scheme, window=None)
+        pipe = run_pipeline(config, alpha)
+        w = pipe.effective_window
+        true_mass = stats.poisson.cdf(w.m2, mean_m) - stats.poisson.cdf(w.m1 - 1.0, mean_m)
+        violations += pipe.untagged_lower > true_mass + 1e-12
+    assert violations <= alpha * n_runs, f"{violations} of {n_runs} runs overstate the mass"
