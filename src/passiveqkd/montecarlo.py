@@ -50,6 +50,7 @@ from .noise_bounds import (
     NoiseModel,
     PoissonNoise,
     ThresholdWindow,
+    poisson_window_mass,
     untagged_lower_bound_gaussian,
     untagged_lower_bound_poisson,
 )
@@ -151,8 +152,7 @@ class _PoissonReadings:
     rate: float
 
     def below(self, x: float) -> float:  # P(m' < x)
-        k = math.ceil(x) - 1
-        return float(pdtr(k, self.rate)) if k >= 0 else 0.0
+        return float(poisson_window_mass(0, math.ceil(x) - 1, self.rate))
 
     def above(self, x: float) -> float:  # P(m' > x)
         k = math.floor(x)
