@@ -209,8 +209,6 @@ class _GaussianReadings:
         for _ in range(200):
             z = (x - centers) / sigma
             mass = float(self.weights @ ndtr(z))
-            if mass == p:
-                return x
             if mass < p:
                 lo = x
             else:
