@@ -179,10 +179,20 @@ class _GaussianReadings:
         self.rate = rate
 
     def below(self, x: float) -> float:
-        return float(self.weights @ ndtr((x - self.counts) / self.sigma))
+        return self._average(ndtr((x - self.counts) / self.sigma))
 
     def above(self, x: float) -> float:
-        return float(self.weights @ ndtr((self.counts - x) / self.sigma))
+        return self._average(ndtr((self.counts - x) / self.sigma))
+
+    def _average(self, values: np.ndarray) -> float:
+        """sum_i w_i values_i, overwriting ``values``.
+
+        Not ``weights @ values``: a dot product this long goes to the
+        multithreaded BLAS, whose worker thread then spins on another core
+        after every call.
+        """
+        values *= self.weights
+        return float(values.sum())
 
     def lower_quantile(self, a: float) -> float:
         return self._solve(a, self.counts, self.rate)
@@ -208,12 +218,12 @@ class _GaussianReadings:
         lo, hi, reach = -math.inf, math.inf, self.scale
         for _ in range(200):
             z = (x - centers) / sigma
-            mass = float(self.weights @ ndtr(z))
+            mass = self._average(ndtr(z))
             if mass < p:
                 lo = x
             else:
                 hi = x
-            density = float(self.weights @ np.exp(-0.5 * z * z)) / (sigma * _SQRT_2PI)
+            density = self._average(np.exp(-0.5 * z * z)) / (sigma * _SQRT_2PI)
             step = (log_p - math.log(mass)) * mass / density if mass * density > 0.0 else math.nan
             if abs(step) <= tol:
                 return x + step
