@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from passiveqkd import (
     PassiveSchemeParams,
@@ -14,6 +15,7 @@ from passiveqkd import (
     multiphoton_probability,
     poisson_pnd,
 )
+from passiveqkd.photon_stats import _norm_tol
 
 
 def brute_force_thin(probs, t):
@@ -55,6 +57,26 @@ def test_transform_matches_brute_force():
     for t in (0.1, 0.5, 0.93):
         got = bernoulli_transform(pnd, t)
         np.testing.assert_allclose(got.probs, brute_force_thin(probs, t), atol=1e-13)
+
+
+def test_transform_matches_binomial_mixture_at_benchmark_size():
+    # the monitoring benchmark's explicit source, an equal mixture of
+    # Poissons at 0.9 and 1.1 times 1500 (n_max = 2,158), thinned by
+    # xi = 0.684, against scipy's binomial pmfs
+    mu, t = 1.5e3, 0.9 * 0.76
+    low, high = poisson_pnd(0.9 * mu), poisson_pnd(1.1 * mu)
+    probs = 0.5 * high.probs
+    probs[: low.probs.size] += 0.5 * low.probs
+    pnd = PhotonNumberDistribution(probs, 0.5 * (low.tail_mass + high.tail_mass))
+    assert pnd.n_max == 2158
+    out = bernoulli_transform(pnd, t).probs
+    m = np.arange(probs.size)
+    expected = np.zeros(probs.size)
+    for n in np.flatnonzero(probs):
+        expected += probs[n] * stats.binom.pmf(m, n, t)
+    assert np.abs(out - expected).max() <= 1e-13
+    assert np.all(out >= 0.0)
+    assert abs(out.sum() - probs.sum()) <= _norm_tol(probs.size)
 
 
 def test_transform_edge_cases():
