@@ -311,7 +311,7 @@ MODES = {
 }
 
 
-def _untagged_fraction(s, threads: int):
+def _untagged_fraction(s):
     """Resolve (window, one_minus_delta, pipeline_degenerate_flag).
 
     'exact' uses the analytic Poissonian windowed mass; 'pipeline' runs the
@@ -320,7 +320,7 @@ def _untagged_fraction(s, threads: int):
     one value covers every distance and both decoy intensities.
     """
     if s.config is not None:
-        result = run_pipeline(s.config, s.alpha, threads=threads)
+        result = run_pipeline(s.config, s.alpha)
         return result.effective_window, result.untagged_lower, result.degenerate
     w = s.window
     return w, float(poisson_window_mass(w.m1, w.m2, s.scheme.mu * s.scheme.xi)), False
@@ -333,11 +333,11 @@ def _format_row(L, rate, Q, E, delta_bar, untagged) -> str:
     return "\t".join(fmt(v) for v in (L, rate, Q, E, delta_bar, untagged))
 
 
-def _run(s, threads: int):
+def _run(s):
     """(rows, summary, degenerate) of a parsed scenario."""
     window, untagged, degenerate = s.window, None, False
     if s.delta_source is not None:
-        window, untagged, degenerate = _untagged_fraction(s, threads)
+        window, untagged, degenerate = _untagged_fraction(s)
     mode_rate = MODES[s.mode][1]
     if mode_rate is None:
         rows = [_format_row(None, None, None, None, None, untagged)]
@@ -363,7 +363,6 @@ def _run(s, threads: int):
 def run_scenario(
     name_or_path: str,
     seed: int | None = None,
-    threads: int = 1,
     output: str | None = None,
     alpha: float | None = None,
     stream=None,
@@ -390,7 +389,7 @@ def run_scenario(
         data["delta_source"] = "pipeline"
 
     try:
-        rows, summary, degenerate = _run(s, threads)
+        rows, summary, degenerate = _run(s)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -430,13 +429,6 @@ def run_scenario(
     return EXIT_OK
 
 
-def _thread_count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="passiveqkd",
@@ -447,7 +439,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a scenario")
     p_run.add_argument("scenario", help="bundled scenario name or YAML path")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--threads", type=_thread_count, default=1)
     p_run.add_argument("--output", default=None)
     p_run.add_argument("--alpha", type=float, default=None)
 
@@ -474,7 +465,6 @@ def main(argv=None) -> int:
             status = run_scenario(
                 args.scenario,
                 seed=args.seed,
-                threads=args.threads,
                 output=args.output,
                 alpha=args.alpha,
             )

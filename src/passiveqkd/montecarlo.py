@@ -3,11 +3,16 @@
 A run of M pulses reports three numbers: the in-window count k', and the
 smallest and largest monitor reading m' (the thresholds under auto-minmax).
 
-**Poissonian sources: one exact draw per run.**  Thinning a Poissonian
-source by xi is again Poissonian, so m' has a known distribution F:
-Poisson(mu xi), Poisson(mu xi + gamma) with dark counts, or Poisson(mu xi)
-convolved with N(0, sigma^2).  The run never simulates the pulses:
+Every run is one exact draw.  Only the distribution F of a single
+monitor reading m' enters, and the run never simulates the pulses:
 
+* *The reading's law.*  Thinning a Poissonian source by xi is again
+  Poissonian, so m' is Poisson(mu xi), Poisson(mu xi + gamma) with dark
+  counts, or Poisson(mu xi) convolved with N(0, sigma^2).  An explicit
+  photon-number distribution thins to ``bernoulli_transform(pnd, xi)``,
+  normalised by its sum (the source is conditioned on n <= n_max), and m'
+  is that pmf, its mixture sum_j w_j Poisson(m' - j; gamma) with dark
+  counts, or its mixture of N(j, sigma^2).
 * *Order statistics of uniforms.*  The readings are m'_i = F^-1(U_i) for
   iid uniforms U_i, where F^-1(u) = inf{x : F(x) >= u} is the generalized
   inverse.  The smallest of M uniforms is A = 1 - V1^(1/M), and given A the
@@ -17,20 +22,18 @@ convolved with N(0, sigma^2).  The run never simulates the pulses:
 * *Monotone inverse.*  F^-1 is non-decreasing, so the extremes of the m'_i
   are the images of the extremes of the U_i: min m' = F^-1(A) and max m' =
   S^-1(B), with S = 1 - F the upper tail.  This holds on a discrete support
-  too, ties included.  Poisson quantiles are integer searches on ``pdtr``
-  and ``pdtrc``; Gaussian ones solve sum_m Pois(m) Phi((x - m)/sigma) = A
-  (or its upper-tail twin = B) by a safeguarded Newton step on the log tail.
+  too, ties included.  Integer readings are searched on ``pdtr`` and
+  ``pdtrc`` (their mixtures for an explicit source, whose upper tails are
+  summed as tails, never as 1 - F); Gaussian ones solve
+  sum_j w_j Phi((x - j)/sigma) = A (or its upper-tail twin = B) by a
+  safeguarded Newton step on the log tail.
 * *Conditional uniformity.*  Given A and B, the other M - 2 uniforms are iid
   on (A, 1 - B), and m' lies in the window [m1, m2] exactly when U lies in
   (F(m1-), F(m2)].  So k' is the two extremes' own indicators plus
   Binomial(M - 2, |(A, 1 - B) & (F(m1-), F(m2)]| / (1 - A - B)).  Under
   auto-minmax the window is [min, max] and that is k' = M.
 
-**Explicit sources: per pulse.**  A general photon-number distribution is
-sampled pulse by pulse.  Trials are split into fixed-size blocks and every
-block gets its own counter-based Philox stream keyed by (seed, block
-index), so the outcome is byte-identical however many workers process the
-blocks.  It is also the oracle the exact draw is tested against.
+A per-pulse simulation in the tests is the oracle for the draw.
 """
 
 from __future__ import annotations
@@ -38,11 +41,10 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtriv, gammaln, ndtr, ndtri, pdtr, pdtrc, pdtrik, xlogy
+from scipy.special import gammaln, ndtr, ndtri, pdtr, pdtrc, xlogy
 
 from .confidence import clopper_pearson, minmax_coverage_lower
 from .noise_bounds import (
@@ -50,11 +52,10 @@ from .noise_bounds import (
     NoiseModel,
     PoissonNoise,
     ThresholdWindow,
-    poisson_window_mass,
     untagged_lower_bound_gaussian,
     untagged_lower_bound_poisson,
 )
-from .photon_stats import PassiveSchemeParams, PhotonNumberDistribution
+from .photon_stats import PassiveSchemeParams, PhotonNumberDistribution, bernoulli_transform
 
 __all__ = [
     "PoissonianSource",
@@ -66,8 +67,6 @@ __all__ = [
     "run_pipeline",
 ]
 
-_BLOCK = 1 << 20
-_KEY_MASK = (1 << 64) - 1
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -106,6 +105,9 @@ class RunConfig:
             object.__setattr__(self, name, int(value))
         if self.M < 1:
             raise ValueError("M must be at least 1")
+        if self.M < 2 and self.window is None:
+            raise ValueError("M must be at least 2 under auto-minmax, whose window "
+                             "is the smallest and largest of the readings")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must be in [0, 2**64)")
 
@@ -126,8 +128,8 @@ class PipelineResult:
     degenerate: bool = False
 
 
-def _block_rng(seed: int, block: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=((seed & _KEY_MASK) << 64) | block))
+def _rng(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=seed << 64))
 
 
 def _least(pred, start: float) -> int:
@@ -145,61 +147,81 @@ def _least(pred, start: float) -> int:
     return lo + 1 + bisect_left(range(lo + 1, hi), True, key=pred)
 
 
-@dataclass(frozen=True)
-class _PoissonReadings:
-    """m' ~ Poisson(rate): no noise, or dark counts added to the signal."""
+def _weighted_sum(values: np.ndarray, weights: np.ndarray) -> float:
+    """sum_i w_i values_i, overwriting ``values``.
 
-    rate: float
+    Not ``weights @ values``: a dot product this long goes to the
+    multithreaded BLAS, whose worker thread then spins on another core
+    after every call.
+    """
+    values *= weights
+    return float(values.sum())
+
+
+class _MixtureReadings:
+    """m' = n + d: n = 0, 1, ... with probabilities ``weights``, d ~ Poisson(gamma).
+
+    P(m' <= k) = sum_j w_j pdtr(k - j, gamma) and P(m' > k) = sum_{j <= k}
+    w_j pdtrc(k - j, gamma) + sum_{j > k} w_j, the last term a reverse
+    cumulative sum.  With gamma = 0 (no dark counts) pdtr(k, 0) = 1 and
+    pdtrc(k, 0) = 0, so these are the pmf's own CDF and upper tail; with
+    the single weight w_0 = 1 they are Poisson(gamma)'s.
+    """
+
+    def __init__(self, weights: np.ndarray, gamma: float, mean: float, var: float):
+        self.weights, self.gamma = weights, gamma
+        self.counts = np.arange(weights.size, dtype=float)
+        self.beyond = np.append(np.cumsum(weights[:0:-1])[::-1], 0.0)  # sum_{j > k} w_j
+        self.total = float(weights.sum())  # what the CDF sums to once every pdtr is 1
+        self.mean, self.sd = mean + gamma, math.sqrt(var + gamma)
+
+    def _cdf(self, k: int) -> float:
+        if k < 0:
+            return 0.0
+        n = min(k + 1, self.weights.size)
+        return _weighted_sum(pdtr(k - self.counts[:n], self.gamma), self.weights[:n])
+
+    def _sf(self, k: int) -> float:
+        if k < 0:
+            return self.total
+        n = min(k + 1, self.weights.size)
+        head = _weighted_sum(pdtrc(k - self.counts[:n], self.gamma), self.weights[:n])
+        return head + (float(self.beyond[k]) if k < self.weights.size else 0.0)
 
     def below(self, x: float) -> float:  # P(m' < x)
-        return float(poisson_window_mass(0, math.ceil(x) - 1, self.rate))
+        return self._cdf(math.ceil(x) - 1)
 
     def above(self, x: float) -> float:  # P(m' > x)
-        k = math.floor(x)
-        return float(pdtrc(k, self.rate)) if k >= 0 else 1.0
+        return self._sf(math.floor(x))
 
     def lower_quantile(self, a: float) -> float:  # inf{m : P(m' <= m) >= a}
-        return float(_least(lambda k: pdtr(k, self.rate) >= a, pdtrik(a, self.rate)))
+        a = min(a, self.total)
+        return float(_least(lambda k: self._cdf(k) >= a, self.mean + self.sd * float(ndtri(a))))
 
     def upper_quantile(self, b: float) -> float:  # inf{m : P(m' > m) <= b}
-        # pdtrc(k, rate) is the chi-square cdf at 2 rate with 2 (k + 1) dof
-        start = 0.5 * chdtriv(b, 2.0 * self.rate) - 1.0
-        return float(_least(lambda k: pdtrc(k, self.rate) <= b, start))
+        return float(_least(lambda k: self._sf(k) <= b, self.mean - self.sd * float(ndtri(b))))
 
 
 class _GaussianReadings:
-    """m' = m + N(0, sigma^2) with m ~ Poisson(rate), over rate -+ 12 sd."""
+    """m' = m + N(0, sigma^2), m = ``counts`` with probabilities ``weights``."""
 
-    def __init__(self, rate: float, sigma2: float):
-        spread = 12.0 * math.sqrt(rate)
-        m = np.arange(max(0, math.floor(rate - spread)), math.ceil(rate + spread + 20.0) + 1.0)
-        w = np.exp(xlogy(m, rate) - gammaln(m + 1.0) - rate)
-        self.counts, self.weights = m, w / w.sum()
-        self.sigma, self.scale = math.sqrt(sigma2), math.sqrt(rate + sigma2)
-        self.rate = rate
+    def __init__(self, counts: np.ndarray, weights: np.ndarray, mean: float, var: float,
+                 sigma2: float):
+        self.counts, self.weights, self.mean = counts, weights, mean
+        self.sigma, self.scale = math.sqrt(sigma2), math.sqrt(var + sigma2)
 
     def below(self, x: float) -> float:
-        return self._average(ndtr((x - self.counts) / self.sigma))
+        return _weighted_sum(ndtr((x - self.counts) / self.sigma), self.weights)
 
     def above(self, x: float) -> float:
-        return self._average(ndtr((self.counts - x) / self.sigma))
-
-    def _average(self, values: np.ndarray) -> float:
-        """sum_i w_i values_i, overwriting ``values``.
-
-        Not ``weights @ values``: a dot product this long goes to the
-        multithreaded BLAS, whose worker thread then spins on another core
-        after every call.
-        """
-        values *= self.weights
-        return float(values.sum())
+        return _weighted_sum(ndtr((self.counts - x) / self.sigma), self.weights)
 
     def lower_quantile(self, a: float) -> float:
-        return self._solve(a, self.counts, self.rate)
+        return self._solve(a, self.counts, self.mean)
 
     def upper_quantile(self, b: float) -> float:
         # P(m' > x) = P(-m' < -x), and -m' is the same mixture around -m
-        return -self._solve(b, -self.counts, -self.rate)
+        return -self._solve(b, -self.counts, -self.mean)
 
     def _solve(self, p: float, centers: np.ndarray, mean: float) -> float:
         """x with sum_i w_i Phi((x - c_i)/sigma) = p: Newton on the log mass.
@@ -218,12 +240,12 @@ class _GaussianReadings:
         lo, hi, reach = -math.inf, math.inf, self.scale
         for _ in range(200):
             z = (x - centers) / sigma
-            mass = self._average(ndtr(z))
+            mass = _weighted_sum(ndtr(z), self.weights)
             if mass < p:
                 lo = x
             else:
                 hi = x
-            density = self._average(np.exp(-0.5 * z * z)) / (sigma * _SQRT_2PI)
+            density = _weighted_sum(np.exp(-0.5 * z * z), self.weights) / (sigma * _SQRT_2PI)
             step = (log_p - math.log(mass)) * mass / density if mass * density > 0.0 else math.nan
             if abs(step) <= tol:
                 return x + step
@@ -238,25 +260,44 @@ class _GaussianReadings:
         return x
 
 
+def _poisson_weights(rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Counts over rate -+ 12 sd and their normalised Poisson(rate) pmf."""
+    spread = 12.0 * math.sqrt(rate)
+    m = np.arange(max(0, math.floor(rate - spread)), math.ceil(rate + spread + 20.0) + 1.0)
+    w = np.exp(xlogy(m, rate) - gammaln(m + 1.0) - rate)
+    return m, w / w.sum()
+
+
 def _readings(config: RunConfig):
-    rate = config.source.mu * config.scheme.xi
-    if isinstance(config.noise, GaussianNoise):
-        return _GaussianReadings(rate, config.noise.sigma2)
-    if isinstance(config.noise, PoissonNoise):
-        return _PoissonReadings(rate + config.noise.gamma)
-    return _PoissonReadings(rate)
+    """The law of one monitor reading m' of ``config``."""
+    noise, xi = config.noise, config.scheme.xi
+    gamma = noise.gamma if isinstance(noise, PoissonNoise) else 0.0
+    if isinstance(config.source, PoissonianSource):
+        rate = config.source.mu * xi
+        if isinstance(noise, GaussianNoise):
+            return _GaussianReadings(*_poisson_weights(rate), rate, rate, noise.sigma2)
+        # signal and dark counts add to one Poisson(rate + gamma) reading
+        return _MixtureReadings(np.ones(1), rate + gamma, 0.0, 0.0)
+    w = bernoulli_transform(config.source.pnd, xi).probs
+    w = w / w.sum()
+    counts = np.arange(w.size, dtype=float)
+    mean = _weighted_sum(counts.copy(), w)
+    var = _weighted_sum((counts - mean) ** 2, w)
+    if isinstance(noise, GaussianNoise):
+        return _GaussianReadings(counts, w, mean, var, noise.sigma2)
+    return _MixtureReadings(w, gamma, mean, var)
 
 
 def _exact_run(config: RunConfig) -> tuple[int, float, float]:
-    """(k', min, max) of a Poissonian-source run, from its order statistics."""
+    """(k', min, max) of a run, from its order statistics."""
     readings = _readings(config)
-    rng = _block_rng(config.seed, 0)
+    rng = _rng(config.seed)
     M, w = config.M, config.window
     log_v1, log_v2 = np.log1p(-rng.random(2))  # ln V for V uniform on (0, 1]
     a = -math.expm1(log_v1 / M)
     lo = readings.lower_quantile(a)
-    if M == 1:
-        return (1 if w is None or w.m1 <= lo <= w.m2 else 0), lo, lo
+    if M == 1:  # RunConfig gives auto-minmax at least two readings
+        return int(w.m1 <= lo <= w.m2), lo, lo
     b = (1.0 - a) * -math.expm1(log_v2 / (M - 1))
     hi = readings.upper_quantile(b)
     if w is None:
@@ -269,55 +310,22 @@ def _exact_run(config: RunConfig) -> tuple[int, float, float]:
     return k, lo, hi
 
 
-def _sample_block(config: RunConfig, block: int, size: int):
-    """(count in the fixed window, or size under auto-minmax, min, max) of one
-    block of an explicit-source run."""
-    rng = _block_rng(config.seed, block)
-    probs = config.source.pnd.probs
-    cdf = np.cumsum(probs / probs.sum())
-    n1 = np.searchsorted(cdf, rng.random(size), side="right")
-    m = rng.binomial(n1, config.scheme.xi).astype(np.float64)
-    if isinstance(config.noise, PoissonNoise):
-        m = m + rng.poisson(config.noise.gamma, size=size)
-    elif isinstance(config.noise, GaussianNoise):
-        # noise left unclamped: negative m' is possible and harmless
-        m = m + rng.normal(0.0, np.sqrt(config.noise.sigma2), size=size)
-    lo = float(m.min())
-    hi = float(m.max())
-    if config.window is None:
-        return size, lo, hi
-    inside = int(np.count_nonzero((m >= config.window.m1) & (m <= config.window.m2)))
-    return inside, lo, hi
-
-
-def _per_pulse_run(config: RunConfig, threads: int) -> tuple[int, float, float]:
-    blocks = [
-        (i, min(_BLOCK, config.M - i * _BLOCK))
-        for i in range((config.M + _BLOCK - 1) // _BLOCK)
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(lambda b: _sample_block(config, b[0], b[1]), blocks)
-            )
-    else:
-        parts = [_sample_block(config, b, s) for b, s in blocks]
-    return sum(p[0] for p in parts), min(p[1] for p in parts), max(p[2] for p in parts)
-
-
 def run(config: RunConfig, threads: int = 1) -> RunResult:
     """Simulate M pulses; deterministic for a given (config, seed).
 
     With ``window=None`` the observed min and max become the thresholds, so
-    every trial is in-window by construction (k' = M).  A Poissonian source
-    is one exact draw; ``threads`` splits the per-pulse blocks of an
-    explicit source and does not change the result.
+    every trial is in-window by construction (k' = M); a run whose readings
+    all tie makes no window and raises ValueError naming the value.  Every
+    run is one exact draw, so ``threads`` has no effect; it stays for the
+    callers that pass it.
     """
-    if isinstance(config.source, PoissonianSource):
-        k, lo, hi = _exact_run(config)
-    else:
-        k, lo, hi = _per_pulse_run(config, threads)
-    window = config.window if config.window is not None else ThresholdWindow(lo, hi)
+    k, lo, hi = _exact_run(config)
+    window = config.window
+    if window is None:
+        if not lo < hi:
+            raise ValueError(f"all {config.M} readings are {lo:g}: an auto-minmax window "
+                             "needs two distinct readings")
+        window = ThresholdWindow(lo, hi)
     return RunResult(k_prime=k, observed_min=lo, observed_max=hi, effective_window=window)
 
 
@@ -331,8 +339,9 @@ def run_pipeline(config: RunConfig, alpha: float, threads: int = 1) -> PipelineR
     Under auto-minmax the window comes from the same pulses it counts
     (k' = M), so the hit probability is bounded as the coverage of a
     tolerance interval (Wilks), not by Clopper-Pearson at k' = M.
+    ``threads`` has no effect, as in ``run``.
     """
-    res = run(config, threads=threads)
+    res = run(config)
     if config.window is None:
         p_lower = minmax_coverage_lower(config.M, alpha)
     else:

@@ -13,6 +13,7 @@ import yaml
 
 import passiveqkd
 from passiveqkd.cli import (
+    EXIT_DEGENERATE,
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
@@ -210,6 +211,7 @@ GAUSSIAN_NOISE = {"type": "gaussian", "sigma2": 1e9}
                      id="e_det-0.5"),
         pytest.param(changed(GOOD_TRUSTED, "channel", Y0=1.5), [], "channel.Y0", id="Y0-1.5"),
         pytest.param(dict(GOOD_MC, seed=2**70), [], "seed", id="seed-2**70"),
+        pytest.param(dict(bundled("mc-pipeline-demo"), M=1), [], "M", id="auto-minmax-M1"),
         pytest.param(changed(GOOD_MC, "scheme", lam="optimized"), [], "scheme.lam",
                      id="mc-pipeline-lam-optimized"),
         pytest.param(GOOD_MC, ["--seed", "-1"], "seed", id="seed-flag-negative"),
@@ -290,12 +292,16 @@ def test_key_a_mode_does_not_read_is_named_with_the_mode():
     ]
 
 
-@pytest.mark.parametrize("threads", ["0", "-2"])
-def test_run_rejects_thread_count_below_one(tmp_path, threads):
-    path = write_scenario(tmp_path, GOOD_MC)
-    with pytest.raises(SystemExit) as exc:
-        main(["run", path, "--threads", threads])
-    assert exc.value.code == EXIT_VALIDATION
+def test_auto_minmax_run_whose_readings_all_tie_exits_3_naming_the_value(tmp_path, capsys):
+    # mean reading 0.0068: every one of the five readings is 0, so the
+    # smallest and largest make no window
+    data = dict(GOOD_MC, scheme=dict(GOOD_MC["scheme"], mu=0.01), M=5)
+    path = write_scenario(tmp_path, data)
+    assert main(["validate", path]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["run", path]) == EXIT_DEGENERATE
+    assert capsys.readouterr().err == (
+        "error: all 5 readings are 0: an auto-minmax window needs two distinct readings\n")
 
 
 def test_trusted_decoy_needs_no_attenuators():

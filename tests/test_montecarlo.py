@@ -8,6 +8,7 @@ from passiveqkd import (
     ExplicitSource,
     GaussianNoise,
     PassiveSchemeParams,
+    PhotonNumberDistribution,
     PoissonNoise,
     PoissonianSource,
     RunConfig,
@@ -49,7 +50,7 @@ def test_run_independent_of_thread_count():
 
 
 def test_explicit_run_independent_of_thread_count():
-    # the per-pulse path: three 2^20-pulse blocks, the last one partial
+    # an explicit source's run is one exact draw, which threads never split
     config = make_config(
         M=2 * 2**20 + 12_345,
         source=ExplicitSource(poisson_pnd(1000.0)),
@@ -159,6 +160,8 @@ def test_pipeline_gaussian_small_noise_is_informative():
 def test_config_validation():
     with pytest.raises(ValueError):
         make_config(M=0)
+    with pytest.raises(ValueError, match="^M must be at least 2 under auto-minmax"):
+        make_config(M=1, window=None)
     with pytest.raises(ValueError):
         make_config(seed=-1)
     with pytest.raises(ValueError):
@@ -192,14 +195,19 @@ ORACLE_WINDOW = ThresholdWindow(24.0, 32.0)  # about half of m' (mean 27.4 + noi
 SIGNIFICANCE = 1e-3  # per comparison; the seeds are fixed, so the verdict is too
 
 
-def _draws(source, noise, window, M, n, seed0):
+def _exact(config):
+    r = run(config)
+    return r.k_prime, r.observed_min, r.observed_max
+
+
+def _draws(source, noise, window, M, n, seed0, draw=_exact):
     """(k', min, max) of n runs on consecutive seeds, one column each."""
     runs = [
-        run(RunConfig(M=M, seed=seed0 + i, source=source, scheme=ORACLE_SCHEME,
-                      noise=noise, window=window))
+        draw(RunConfig(M=M, seed=seed0 + i, source=source, scheme=ORACLE_SCHEME,
+                       noise=noise, window=window))
         for i in range(n)
     ]
-    return np.array([(r.k_prime, r.observed_min, r.observed_max) for r in runs]).T
+    return np.array(runs, dtype=float).T
 
 
 def _same_distribution_p(x, y) -> float:
@@ -212,6 +220,27 @@ def _same_distribution_p(x, y) -> float:
     return stats.ks_2samp(x, y).pvalue
 
 
+def _oracle_p_values(exact, oracle, noise, M, auto, per_pulse, seed0):
+    """p-values of min, max, their range and k' of the exact draw of
+    ``exact`` against per-pulse runs of ``oracle``: the extremes under
+    auto-minmax (or the fixed window where ties make auto-minmax
+    undefined), k' in the fixed window."""
+    n = 500
+    window = None if auto else ORACLE_WINDOW
+    _, lo_e, hi_e = _draws(exact, noise, window, M, n, seed0)
+    _, lo_o, hi_o = _draws(oracle, noise, window, M, n, seed0 + 10_000, per_pulse)
+    k_e, _, _ = _draws(exact, noise, ORACLE_WINDOW, M, n, seed0 + 20_000)
+    k_o, _, _ = _draws(oracle, noise, ORACLE_WINDOW, M, n, seed0 + 30_000, per_pulse)
+    if M == 1:
+        assert np.array_equal(lo_e, hi_e)
+    return {
+        "min": _same_distribution_p(lo_e, lo_o),
+        "max": _same_distribution_p(hi_e, hi_o),
+        "range": _same_distribution_p(hi_e - lo_e, hi_o - lo_o),  # the joint law
+        "k'": _same_distribution_p(k_e, k_o),
+    }
+
+
 @pytest.mark.parametrize(
     "noise, M, auto",
     [
@@ -222,26 +251,34 @@ def _same_distribution_p(x, y) -> float:
         pytest.param(PoissonNoise(3.0), 2, False, id="poisson-M2"),
     ],
 )
-def test_exact_draw_matches_per_pulse_oracle(noise, M, auto):
-    # the exact draw of a Poissonian source against per-pulse sampling of
-    # the same photon-number distribution: min, max and their range under
-    # auto-minmax (or the fixed window where ties make auto-minmax
-    # undefined), k' in the fixed window
-    n = 500
-    exact, oracle = PoissonianSource(40.0), ExplicitSource(poisson_pnd(40.0))
-    window = None if auto else ORACLE_WINDOW
-    _, lo_e, hi_e = _draws(exact, noise, window, M, n, seed0=10_000)
-    _, lo_o, hi_o = _draws(oracle, noise, window, M, n, seed0=20_000)
-    k_e, _, _ = _draws(exact, noise, ORACLE_WINDOW, M, n, seed0=30_000)
-    k_o, _, _ = _draws(oracle, noise, ORACLE_WINDOW, M, n, seed0=40_000)
-    if M == 1:
-        assert np.array_equal(lo_e, hi_e)
-    p_values = {
-        "min": _same_distribution_p(lo_e, lo_o),
-        "max": _same_distribution_p(hi_e, hi_o),
-        "range": _same_distribution_p(hi_e - lo_e, hi_o - lo_o),  # the joint law
-        "k'": _same_distribution_p(k_e, k_o),
-    }
+def test_exact_draw_matches_per_pulse_oracle(noise, M, auto, per_pulse):
+    # a Poissonian source against per-pulse sampling of the same
+    # photon-number distribution
+    source = PoissonianSource(40.0)
+    oracle = ExplicitSource(poisson_pnd(40.0))
+    p_values = _oracle_p_values(source, oracle, noise, M, auto, per_pulse, seed0=10_000)
+    assert min(p_values.values()) > SIGNIFICANCE, p_values
+
+
+def _bimodal_pnd(mu_low: float, mu_high: float) -> PhotonNumberDistribution:
+    """Equal mixture of Poisson(mu_low) and Poisson(mu_high), mu_low < mu_high."""
+    low, high = poisson_pnd(mu_low), poisson_pnd(mu_high)
+    probs = 0.5 * high.probs
+    probs[: low.probs.size] += 0.5 * low.probs
+    return PhotonNumberDistribution(probs, 0.5 * (low.tail_mass + high.tail_mass))
+
+
+@pytest.mark.parametrize(
+    "M, auto", [pytest.param(2000, True, id="auto-M2000"),
+                pytest.param(1, False, id="M1"), pytest.param(2, False, id="M2")])
+@pytest.mark.parametrize(
+    "noise", [pytest.param(None, id="noiseless"), pytest.param(PoissonNoise(3.0), id="poisson"),
+              pytest.param(GaussianNoise(4.0), id="gaussian")])
+def test_explicit_exact_draw_matches_per_pulse_oracle(noise, M, auto, per_pulse):
+    # a non-Poisson source (thinned means 20.5 and 34.2, so m' is bimodal)
+    # drawn exactly through its thinned distribution, against per-pulse runs
+    source = ExplicitSource(_bimodal_pnd(30.0, 50.0))
+    p_values = _oracle_p_values(source, source, noise, M, auto, per_pulse, seed0=110_000)
     assert min(p_values.values()) > SIGNIFICANCE, p_values
 
 
