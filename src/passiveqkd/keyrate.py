@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 
 from scipy.special import xlogy
 
@@ -222,11 +222,13 @@ def pna_rate_bb84(
     return replace(point, rate=0.0) if delta >= 1.0 else point
 
 
+@lru_cache(maxsize=256)
 def _binom_pmf_range(n: int, lam: float, m1: float, m2: float) -> tuple[float, float]:
     """Min and max over m in [m1, m2] of the Binomial(m, lam) pmf at n.
 
     As a function of m the pmf rises while m < n / lam - 1 and falls after,
     so the extremes sit at the endpoints and (for the max) at the mode.
+    Memoized: a decoy curve asks for the same four brackets at every point.
     """
     candidates = [m1, m2]
     if n >= 1:
@@ -302,6 +304,29 @@ def _decoy_elimination(signal, decoy, c: float, Y0: float, e0: float, f_ec: floa
     return max(0.0, rate)
 
 
+@lru_cache(maxsize=64)
+def _untagged_decoy_terms(
+    scheme: PassiveSchemeParams, settings: DecoySettings, m1: float, m2: float
+):
+    """Each intensity's encoder-output APN and (lazy) pmf bracket, and c.
+
+    None of them depends on the channel, so a curve computes them once.
+    """
+    # each attenuator as the scheme's own, whose constructor rejects lambda_A > 1
+    lam_s = replace(scheme, lam=settings.lambda_s).lambda_a
+    lam_d = replace(scheme, lam=settings.lambda_d).lambda_a
+    mu_out = scheme.mu * (1.0 - scheme.t_B)
+    # The pointwise binomial ratio p_d(n) / p_s(n) decreases in n and
+    # increases in m, so its maximum over n >= 2 sits at n = 2, m = m2.
+    log_r = math.log(lam_d) + math.log1p(-lam_s) - math.log(lam_s) - math.log1p(-lam_d)
+    c = math.exp(2.0 * log_r + m2 * (math.log1p(-lam_d) - math.log1p(-lam_s)))
+    return (
+        (mu_out * settings.lambda_s, partial(_binom_pmf_range, lam=lam_s, m1=m1, m2=m2)),
+        (mu_out * settings.lambda_d, partial(_binom_pmf_range, lam=lam_d, m1=m1, m2=m2)),
+        c,
+    )
+
+
 def decoy_rate_untagged(
     scheme: PassiveSchemeParams,
     ch: ChannelParams,
@@ -321,19 +346,11 @@ def decoy_rate_untagged(
         if not 0.0 <= omd <= 1.0:
             raise ValueError("untagged fractions must be in [0, 1]")
     m1, m2 = max(0.0, w.m1), w.m2
-    # each attenuator as the scheme's own, whose constructor rejects lambda_A > 1
-    lam_s = replace(scheme, lam=settings.lambda_s).lambda_a
-    lam_d = replace(scheme, lam=settings.lambda_d).lambda_a
-    Q_s, E_s = channel_gain_qber(scheme.mu * (1.0 - scheme.t_B) * settings.lambda_s, ch)
-    Q_d, E_d = channel_gain_qber(scheme.mu * (1.0 - scheme.t_B) * settings.lambda_d, ch)
-
-    # The pointwise binomial ratio p_d(n) / p_s(n) decreases in n and
-    # increases in m, so its maximum over n >= 2 sits at n = 2, m = m2.
-    log_r = math.log(lam_d) + math.log1p(-lam_s) - math.log(lam_s) - math.log1p(-lam_d)
-    c = math.exp(2.0 * log_r + m2 * (math.log1p(-lam_d) - math.log1p(-lam_s)))
+    (mu_s, pmf_s), (mu_d, pmf_d), c = _untagged_decoy_terms(scheme, settings, m1, m2)
+    Q_s, E_s = channel_gain_qber(mu_s, ch)
+    Q_d, E_d = channel_gain_qber(mu_d, ch)
     rate = _decoy_elimination(
-        (Q_s, E_s, one_minus_delta_s, partial(_binom_pmf_range, lam=lam_s, m1=m1, m2=m2)),
-        (Q_d, E_d, one_minus_delta_d, partial(_binom_pmf_range, lam=lam_d, m1=m1, m2=m2)),
+        (Q_s, E_s, one_minus_delta_s, pmf_s), (Q_d, E_d, one_minus_delta_d, pmf_d),
         c, ch.Y0, ch.e0, settings.f_ec,
     )
     return RatePoint(L=ch.L, rate=rate, delta_bar=1.0 - one_minus_delta_s, Q=Q_s, E=E_s)

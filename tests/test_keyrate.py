@@ -338,3 +338,65 @@ def test_decoy_elimination_never_beats_an_admissible_attack(monkeypatch):
         assert rate <= max(0.0, true) + 1e-12 * abs(true)
         positive += rate > 0.0
     assert positive >= 100
+
+
+def _clear_decoy_caches():
+    keyrate._untagged_decoy_terms.cache_clear()
+    keyrate._binom_pmf_range.cache_clear()
+
+
+def test_decoy_rate_untagged_rejects_lambda_a_above_one_on_every_call():
+    # t_B t_D / (1 - t_B) = 0.05 / 0.9, so lambda_s = 0.5 gives lambda_A = 9;
+    # the memoized terms must not turn a second call into a silent result
+    scheme = PassiveSchemeParams(t_B=0.1, t_D=0.5, lam=0.01, mu=1e6)
+    settings_ = DecoySettings(0.5, 0.1, 0.5, 0.01)
+    w = ThresholdWindow(4e4, 6e4)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="lambda_a"):
+            decoy_rate_untagged(scheme, GYS, settings_, w, 1.0, 1.0)
+
+
+def test_decoy_rate_untagged_cache_entries_do_not_cross():
+    # interleaved calls over two schemes and two windows, with warm caches,
+    # give exactly the points of each curve computed from cleared caches
+    schemes = (TABLE2_SCHEME, replace(TABLE2_SCHEME, t_D=0.7))
+    mean_m = TABLE2_SCHEME.mu * TABLE2_SCHEME.xi
+    windows = [
+        ThresholdWindow(round(mean_m - half), round(mean_m + half))
+        for half in (4.0 * math.sqrt(mean_m), 4e4)
+    ]
+    combos = [(scheme, w) for scheme in schemes for w in windows]
+    chs = [GYS.at_distance(L) for L in np.arange(0.0, 151.0, 1.0)]
+    fresh = {}
+    for combo in combos:
+        _clear_decoy_caches()
+        scheme, w = combo
+        fresh[combo] = [
+            decoy_rate_untagged(scheme, ch, TABLE2_DECOY, w, 0.999999, 0.999998) for ch in chs
+        ]
+    _clear_decoy_caches()
+    for i, ch in enumerate(chs):
+        for scheme, w in combos:
+            point = decoy_rate_untagged(scheme, ch, TABLE2_DECOY, w, 0.999999, 0.999998)
+            assert point == fresh[scheme, w][i]
+    # the four curves differ, so an entry served to the wrong key would show
+    curves = [tuple(p.rate for p in fresh[combo]) for combo in combos]
+    assert len(set(curves)) == len(combos)
+    assert all(any(rate > 0.0 for rate in curve) for curve in curves)
+
+
+def test_decoy_rate_untagged_fully_tagged_point_evaluates_no_pmf(monkeypatch):
+    calls = []
+    real = keyrate.log_binom_pmf
+    monkeypatch.setattr(
+        keyrate, "log_binom_pmf", lambda *args: calls.append(args) or real(*args)
+    )
+    _clear_decoy_caches()
+    w = ThresholdWindow(9.8e6, 1.02e7)
+    ch = GYS.at_distance(50.0)
+    for fractions in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0)):
+        point = decoy_rate_untagged(TABLE2_SCHEME, ch, TABLE2_DECOY, w, *fractions)
+        assert point.rate == 0.0
+    assert calls == []
+    assert decoy_rate_untagged(TABLE2_SCHEME, ch, TABLE2_DECOY, w, 1.0, 1.0).rate > 0.0
+    assert calls
