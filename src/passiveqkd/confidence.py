@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy.special import betaincinv
+from ._special import special
 
 __all__ = ["ConfidenceResult", "clopper_pearson", "minmax_coverage_lower"]
 
@@ -50,8 +50,8 @@ def clopper_pearson(successes: int, trials: int, alpha: float) -> ConfidenceResu
         raise ValueError("alpha must be in (0, 1)")
     half = alpha / 2.0
 
-    lower = 0.0 if x == 0 else float(betaincinv(x, M - x + 1, half))
-    upper = 1.0 if x == M else 1.0 - float(betaincinv(M - x, x + 1, half))
+    lower = 0.0 if x == 0 else float(special.betaincinv(x, M - x + 1, half))
+    upper = 1.0 if x == M else 1.0 - float(special.betaincinv(M - x, x + 1, half))
     return ConfidenceResult(lower=lower, upper=upper, level=1.0 - alpha)
 
 
@@ -70,4 +70,4 @@ def minmax_coverage_lower(trials: int, alpha: float) -> float:
         raise ValueError("trials must be at least 2 for a min/max window")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    return float(betaincinv(M - 1, 2, alpha / 2.0))
+    return float(special.betaincinv(M - 1, 2, alpha / 2.0))

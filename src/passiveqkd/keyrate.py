@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
-from scipy.special import xlogy
-
 from .noise_bounds import ThresholdWindow
 from .photon_stats import PassiveSchemeParams, log_binom_pmf
 from .worstcase import coefficient_a, maximize_ratio
@@ -112,7 +110,8 @@ def binary_entropy(x: float) -> float:
     """H2(x) = -x log2 x - (1-x) log2 (1-x), with H2(0) = H2(1) = 0."""
     if not 0.0 <= x <= 1.0:
         raise ValueError("binary entropy argument must be in [0, 1]")
-    return float(-(xlogy(x, x) + xlogy(1.0 - x, 1.0 - x)) / _LN2)
+    y = 1.0 - x
+    return float(-((x * math.log(x) if x else 0.0) + (y * math.log(y) if y else 0.0)) / _LN2)
 
 
 def channel_gain_qber(mu_p2: float, ch: ChannelParams) -> tuple[float, float]:

@@ -42,10 +42,11 @@ import math
 import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, ndtr, ndtri, pdtr, pdtrc, xlogy
 
+from ._special import special
 from .confidence import clopper_pearson, minmax_coverage_lower
 from .noise_bounds import (
     GaussianNoise,
@@ -179,13 +180,13 @@ class _MixtureReadings:
         if k < 0:
             return 0.0
         n = min(k + 1, self.weights.size)
-        return _weighted_sum(pdtr(k - self.counts[:n], self.gamma), self.weights[:n])
+        return _weighted_sum(special.pdtr(k - self.counts[:n], self.gamma), self.weights[:n])
 
     def _sf(self, k: int) -> float:
         if k < 0:
             return self.total
         n = min(k + 1, self.weights.size)
-        head = _weighted_sum(pdtrc(k - self.counts[:n], self.gamma), self.weights[:n])
+        head = _weighted_sum(special.pdtrc(k - self.counts[:n], self.gamma), self.weights[:n])
         return head + (float(self.beyond[k]) if k < self.weights.size else 0.0)
 
     def below(self, x: float) -> float:  # P(m' < x)
@@ -196,10 +197,12 @@ class _MixtureReadings:
 
     def lower_quantile(self, a: float) -> float:  # inf{m : P(m' <= m) >= a}
         a = min(a, self.total)
-        return float(_least(lambda k: self._cdf(k) >= a, self.mean + self.sd * float(ndtri(a))))
+        guess = self.mean + self.sd * float(special.ndtri(a))
+        return float(_least(lambda k: self._cdf(k) >= a, guess))
 
     def upper_quantile(self, b: float) -> float:  # inf{m : P(m' > m) <= b}
-        return float(_least(lambda k: self._sf(k) <= b, self.mean - self.sd * float(ndtri(b))))
+        guess = self.mean - self.sd * float(special.ndtri(b))
+        return float(_least(lambda k: self._sf(k) <= b, guess))
 
 
 class _GaussianReadings:
@@ -211,10 +214,10 @@ class _GaussianReadings:
         self.sigma, self.scale = math.sqrt(sigma2), math.sqrt(var + sigma2)
 
     def below(self, x: float) -> float:
-        return _weighted_sum(ndtr((x - self.counts) / self.sigma), self.weights)
+        return _weighted_sum(special.ndtr((x - self.counts) / self.sigma), self.weights)
 
     def above(self, x: float) -> float:
-        return _weighted_sum(ndtr((self.counts - x) / self.sigma), self.weights)
+        return _weighted_sum(special.ndtr((self.counts - x) / self.sigma), self.weights)
 
     def lower_quantile(self, a: float) -> float:
         return self._solve(a, self.counts, self.mean)
@@ -235,12 +238,12 @@ class _GaussianReadings:
         if p <= 0.0:
             return -math.inf
         log_p, sigma = math.log(p), self.sigma
-        x = mean + self.scale * float(ndtri(p))
+        x = mean + self.scale * float(special.ndtri(p))
         tol = 4.0 * np.finfo(float).eps * (abs(x) + self.scale)
         lo, hi, reach = -math.inf, math.inf, self.scale
         for _ in range(200):
             z = (x - centers) / sigma
-            mass = _weighted_sum(ndtr(z), self.weights)
+            mass = _weighted_sum(special.ndtr(z), self.weights)
             if mass < p:
                 lo = x
             else:
@@ -264,8 +267,26 @@ def _poisson_weights(rate: float) -> tuple[np.ndarray, np.ndarray]:
     """Counts over rate -+ 12 sd and their normalised Poisson(rate) pmf."""
     spread = 12.0 * math.sqrt(rate)
     m = np.arange(max(0, math.floor(rate - spread)), math.ceil(rate + spread + 20.0) + 1.0)
-    w = np.exp(xlogy(m, rate) - gammaln(m + 1.0) - rate)
+    w = np.exp(special.xlogy(m, rate) - special.gammaln(m + 1.0) - rate)
     return m, w / w.sum()
+
+
+@lru_cache(maxsize=8)
+def _thinned(probs: bytes, tail_mass: float, xi: float):
+    """Counts, normalised weights, mean and variance of a photon-number
+    distribution thinned by ``xi``; the arrays are read-only.
+
+    Keyed by the distribution's content, not its identity, so runs on equal
+    sources thin once however each source was built.
+    """
+    pnd = PhotonNumberDistribution(np.frombuffer(probs), tail_mass)
+    w = bernoulli_transform(pnd, xi).probs
+    w = w / w.sum()
+    counts = np.arange(w.size, dtype=float)
+    mean = _weighted_sum(counts.copy(), w)
+    var = _weighted_sum((counts - mean) ** 2, w)
+    counts.flags.writeable = w.flags.writeable = False
+    return counts, w, mean, var
 
 
 def _readings(config: RunConfig):
@@ -278,11 +299,8 @@ def _readings(config: RunConfig):
             return _GaussianReadings(*_poisson_weights(rate), rate, rate, noise.sigma2)
         # signal and dark counts add to one Poisson(rate + gamma) reading
         return _MixtureReadings(np.ones(1), rate + gamma, 0.0, 0.0)
-    w = bernoulli_transform(config.source.pnd, xi).probs
-    w = w / w.sum()
-    counts = np.arange(w.size, dtype=float)
-    mean = _weighted_sum(counts.copy(), w)
-    var = _weighted_sum((counts - mean) ** 2, w)
+    pnd = config.source.pnd
+    counts, w, mean, var = _thinned(pnd.probs.tobytes(), pnd.tail_mass, xi)
     if isinstance(noise, GaussianNoise):
         return _GaussianReadings(counts, w, mean, var, noise.sigma2)
     return _MixtureReadings(w, gamma, mean, var)

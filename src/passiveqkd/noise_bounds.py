@@ -19,7 +19,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, pdtr
+
+from ._special import special
 
 __all__ = [
     "PoissonNoise",
@@ -114,7 +115,7 @@ def poisson_window_mass(lo, hi, mu):
     """
 
     def cdf(k):
-        return np.where(k >= 0, pdtr(np.maximum(k, 0), mu), 0.0)
+        return np.where(k >= 0, special.pdtr(np.maximum(k, 0), mu), 0.0)
 
     return cdf(np.floor(hi)) - cdf(np.ceil(lo) - 1)
 
@@ -183,9 +184,9 @@ def gaussian_b123(w: ThresholdWindow, sigma2: float) -> tuple[float, float, floa
         raise ValueError("sigma2 must be positive")
     sigma = math.sqrt(sigma2)
     width = w.width
-    b1 = float(ndtr(width / sigma) - 0.5)
-    b2 = float(2.0 * ndtr(width / (2.0 * sigma)) - 1.0)
-    b3 = float(ndtr(-1.0 / sigma) - ndtr(-(width + 1.0) / sigma))
+    b1 = float(special.ndtr(width / sigma) - 0.5)
+    b2 = float(2.0 * special.ndtr(width / (2.0 * sigma)) - 1.0)
+    b3 = float(special.ndtr(-1.0 / sigma) - special.ndtr(-(width + 1.0) / sigma))
     assert b2 >= b1 - 1e-12 and b1 >= b3 - 1e-12, "ordering b2 >= b1 >= b3 violated"
     return b1, b2, b3
 

@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, pdtrc, xlogy
+
+from ._special import special
 
 __all__ = [
     "PhotonNumberDistribution",
@@ -157,8 +158,8 @@ def poisson_pnd(
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     n = np.arange(n_max + 1)
-    probs = np.exp(xlogy(n, mu) - gammaln(n + 1) - mu)
-    tail = float(pdtrc(n_max, mu))
+    probs = np.exp(special.xlogy(n, mu) - special.gammaln(n + 1) - mu)
+    tail = float(special.pdtrc(n_max, mu))
     if tail > tail_tol:
         raise ValueError(
             f"n_max={n_max} leaves tail mass {tail:.3e} > tolerance {tail_tol:.3e} "
@@ -174,9 +175,9 @@ def log_binom_pmf(k, n, p: float):
     log-gamma.
     """
     return (
-        gammaln(n + 1)
-        - gammaln(k + 1)
-        - gammaln(n - k + 1)
+        special.gammaln(n + 1)
+        - special.gammaln(k + 1)
+        - special.gammaln(n - k + 1)
         + k * math.log(p)
         + (n - k) * math.log1p(-p)
     )

@@ -368,6 +368,26 @@ def test_library_imports_no_scipy_stats_or_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    # scipy.special loads on the first call that needs it; only the last command makes one
+    lazy = [
+        None, ["validate", "ideal-apn"], ["list-scenarios"], ["run", "ideal-apn"],
+        ["run", "realistic-trusted"], ["run", "realistic-pna"],
+    ]
+    for argv in lazy:
+        code = (
+            "import contextlib, os, sys, passiveqkd, passiveqkd.cli\n"
+            f"argv = {argv!r}\n"
+            "with open(os.devnull, 'w') as out, contextlib.redirect_stdout(out):\n"
+            "    status = 0 if argv is None else passiveqkd.cli.main(argv)\n"
+            "print(status, 'scipy.special' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        # the analyzer's untagged fraction is a Poisson window mass: pdtr
+        loaded = argv == ["run", "realistic-pna"]
+        assert proc.stdout.split() == ["0", str(loaded)], (argv, proc.stdout)
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import xlogy
 
 from passiveqkd import (
     ChannelParams,
@@ -40,6 +41,14 @@ def test_binary_entropy_endpoints_and_symmetry():
     assert binary_entropy(0.5) == pytest.approx(1.0, abs=1e-14)
     assert binary_entropy(0.11) == pytest.approx(binary_entropy(0.89), abs=1e-14)
     assert binary_entropy(0.11) == pytest.approx(0.499915958165, abs=1e-9)
+
+
+def test_binary_entropy_matches_scipy_xlogy_bit_for_bit():
+    grid = [0.0, 1.0, 5e-324, 1e-300, 0.5, 0.11, 1.0 - 2.0**-53]
+    draws = np.random.default_rng(16).random(4000).tolist()
+    for x in grid + draws:
+        reference = float(-(xlogy(x, x) + xlogy(1.0 - x, 1.0 - x)) / math.log(2.0))
+        assert repr(binary_entropy(x)) == repr(reference), x
 
 
 def test_channel_gain_qber_zero_distance():

@@ -14,6 +14,7 @@ from passiveqkd import (
     RunConfig,
     ThresholdWindow,
     clopper_pearson,
+    montecarlo,
     poisson_pnd,
     run,
     run_pipeline,
@@ -280,6 +281,24 @@ def test_explicit_exact_draw_matches_per_pulse_oracle(noise, M, auto, per_pulse)
     source = ExplicitSource(_bimodal_pnd(30.0, 50.0))
     p_values = _oracle_p_values(source, source, noise, M, auto, per_pulse, seed0=110_000)
     assert min(p_values.values()) > SIGNIFICANCE, p_values
+
+
+def test_equal_explicit_sources_thin_once(monkeypatch):
+    # the thinned law is cached by the distribution's content, so a second,
+    # separately built but equal source reuses it and draws the same run
+    calls = []
+    real = montecarlo.bernoulli_transform
+    monkeypatch.setattr(
+        montecarlo, "bernoulli_transform", lambda *args: calls.append(args) or real(*args)
+    )
+    montecarlo._thinned.cache_clear()
+    runs = [
+        _exact(RunConfig(M=2000, seed=7, source=ExplicitSource(_bimodal_pnd(30.0, 50.0)),
+                         scheme=ORACLE_SCHEME, noise=PoissonNoise(3.0), window=ORACLE_WINDOW))
+        for _ in range(2)
+    ]
+    assert len(calls) == 1
+    assert runs[0] == runs[1]
 
 
 def test_exact_fixed_window_count_matches_hit_probability():
