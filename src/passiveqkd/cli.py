@@ -42,8 +42,6 @@ from .photon_stats import PassiveSchemeParams
 from .worstcase import maximize_ratio
 
 _SECTIONS = ("scheme", "channel", "decoy", "noise", "window", "sweep")
-_PIPELINE_KEYS = ("alpha", "M", "seed")
-_TOP_KEYS = {*_SECTIONS, *_PIPELINE_KEYS, "mode", "description", "f_ec", "delta_source", "output"}
 _SWEEP_KEYS = ("L_start", "L_end", "L_step")
 _MAX_SWEEP_POINTS = 100_000
 _NOISE = {"poisson": PoissonNoise, "gaussian": GaussianNoise, "none": None}
@@ -176,35 +174,32 @@ def validate_scenario_dict(data: dict) -> ValidationReport:
     message}`` entry.  ``report.scenario`` holds the objects ``run`` uses.
     """
     report = ValidationReport()
-    for key in data:
-        if key not in _TOP_KEYS:
-            report.add(key, "unknown key")
     mode = data.get("mode")
     if not isinstance(mode, str) or mode not in MODES:
         report.add("mode", f"must be one of {', '.join(MODES)}")
         return report
-    if data.get("delta_source") not in (None, "exact", "pipeline"):
-        report.add("delta_source", "must be 'exact' or 'pipeline'")
-    source = data.get("delta_source", "exact") if mode.startswith("pna-") else None
-    source = "pipeline" if mode == "mc-pipeline" else source
-    for key in MODES[mode][0] + (_PIPELINE_KEYS if source == "pipeline" else ()):
+    requires, reads, _ = MODES[mode]
+    source = "pipeline" if mode == "mc-pipeline" else None
+    if "delta_source" in reads:
+        source = data.get("delta_source", "exact")
+        if source not in ("exact", "pipeline"):
+            report.add("delta_source", "must be 'exact' or 'pipeline'")
+    if source == "pipeline":
+        requires, reads = requires + _PIPELINE_REQUIRES, reads + _PIPELINE_READS
+    for key in data:
+        if key not in _TOP_KEYS:
+            report.add(key, "unknown key")
+        elif key not in (*requires, *reads, *_EVERY_MODE):
+            hint = ": set decoy.f_ec" if key == "f_ec" and "decoy" in requires else ""
+            report.add(key, f"not read by mode {mode}{hint}")
+    for key in requires:
         if data.get(key) is None:
             report.add(key, f"required for mode {mode}")
     if source == "exact" and not isinstance(data.get("window"), dict):
         report.add("window", "delta_source 'exact' needs a fixed {m1, m2} window")
-    if "f_ec" in data and mode.endswith("-decoy"):
-        report.add("f_ec", f"not read by mode {mode}: set decoy.f_ec")
-    elif "f_ec" in data and (_mistyped(data["f_ec"], "float") or not data["f_ec"] >= 1.0):
+    f_ec = data.get("f_ec", 1.0)
+    if "f_ec" in reads and (_mistyped(f_ec, "float") or not f_ec >= 1.0):
         report.add("f_ec", "must be a finite number >= 1")
-    if data.get("noise") is not None and source != "pipeline":
-        report.add("noise", "read only where the pipeline runs: mode mc-pipeline, "
-                            "or a pna-* mode with delta_source 'pipeline'")
-    # only the untagged-fraction modes read a window and its source
-    unread = [] if source is not None else ["window", "delta_source"]
-    unread += ["scheme"] if mode == "trusted-decoy" else []
-    for key in unread:
-        if data.get(key) is not None:
-            report.add(key, f"not read by mode {mode}")
     if data.get("output") is not None and not isinstance(data["output"], str):
         report.add("output", "must be a path string")
 
@@ -240,7 +235,7 @@ def validate_scenario_dict(data: dict) -> ValidationReport:
     optimized = "scheme" in blocks and blocks["scheme"].get("lam") == "optimized"
     if "scheme" in blocks and not optimized:
         scheme = _build(report, "scheme", PassiveSchemeParams, blocks["scheme"])
-    elif optimized and "channel" not in MODES[mode][0]:
+    elif optimized and "channel" not in requires:
         report.add("scheme.lam", f"'optimized' needs a channel, and mode {mode} has none")
     elif optimized and mode == "pna-decoy":
         report.add("scheme.lam", "'optimized' is not read by mode pna-decoy, whose "
@@ -269,7 +264,7 @@ def validate_scenario_dict(data: dict) -> ValidationReport:
     report.scenario = SimpleNamespace(
         mode=mode, scheme=scheme, optimized=optimized, channel=channel, decoy=decoy,
         noise=noise, window=window, points=points, delta_source=source, config=config,
-        alpha=alpha, f_ec=data.get("f_ec", 1.0),
+        alpha=alpha, f_ec=f_ec,
     )
     return report
 
@@ -297,18 +292,26 @@ def _trusted_decoy_rate(s, scheme, window, untagged):
     return lambda ch: decoy_rate_trusted(ch, s.decoy.nu_s, s.decoy.nu_d, s.decoy.f_ec)
 
 
-# mode -> (keys it requires, its rate): given the parsed scenario, one
-# scheme, the window and the untagged fraction, the rate makes the terms
-# that do not depend on distance once and returns the rate at a channel.
-# mc-pipeline has no sweep, its result is the untagged-fraction bound itself
+# mode -> (top-level keys it requires, keys it may also read, its rate):
+# given the parsed scenario, one scheme, the window and the untagged
+# fraction, the rate makes the terms that do not depend on distance once and
+# returns the rate at a channel.  mc-pipeline has no sweep, its result is the
+# untagged-fraction bound itself
 MODES = {
-    "apn-bb84": (("scheme", "channel", "sweep"), _apn_rate),
-    "pna-bb84": (("scheme", "channel", "sweep", "window"), _pna_rate),
-    "trusted-bb84": (("scheme", "channel", "sweep"), _trusted_rate),
-    "pna-decoy": (("scheme", "channel", "decoy", "sweep"), _pna_decoy_rate),
-    "trusted-decoy": (("channel", "decoy", "sweep"), _trusted_decoy_rate),
-    "mc-pipeline": (("scheme", "window"), None),
+    "apn-bb84": (("scheme", "channel", "sweep"), ("f_ec",), _apn_rate),
+    "pna-bb84": (("scheme", "channel", "sweep", "window"), ("f_ec", "delta_source"), _pna_rate),
+    "trusted-bb84": (("scheme", "channel", "sweep"), ("f_ec",), _trusted_rate),
+    "pna-decoy": (("scheme", "channel", "decoy", "sweep", "window"), ("delta_source",),
+                  _pna_decoy_rate),
+    "trusted-decoy": (("channel", "decoy", "sweep"), (), _trusted_decoy_rate),
+    "mc-pipeline": (("scheme", "window"), (), None),
 }
+# where the pipeline runs (mode mc-pipeline, or delta_source 'pipeline') a
+# mode also requires these keys and may read these
+_PIPELINE_REQUIRES, _PIPELINE_READS = ("alpha", "M", "seed"), ("noise",)
+_EVERY_MODE = ("mode", "description", "output")
+_TOP_KEYS = {*_EVERY_MODE, *_PIPELINE_REQUIRES, *_PIPELINE_READS,
+             *(key for requires, reads, _ in MODES.values() for key in requires + reads)}
 
 
 def _untagged_fraction(s):
@@ -338,7 +341,7 @@ def _run(s):
     window, untagged, degenerate = s.window, None, False
     if s.delta_source is not None:
         window, untagged, degenerate = _untagged_fraction(s)
-    mode_rate = MODES[s.mode][1]
+    mode_rate = MODES[s.mode][2]
     if mode_rate is None:
         rows = [_format_row(None, None, None, None, None, untagged)]
         where = f"[{window.m1:g}, {window.m2:g}]"
@@ -385,8 +388,6 @@ def run_scenario(
         print(report.to_json(), file=sys.stderr)
         return EXIT_VALIDATION
     s = report.scenario
-    if s.mode == "mc-pipeline":
-        data["delta_source"] = "pipeline"
 
     try:
         rows, summary, degenerate = _run(s)

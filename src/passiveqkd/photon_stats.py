@@ -66,15 +66,6 @@ class PhotonNumberDistribution:
     def n_max(self) -> int:
         return self.probs.size - 1
 
-    @property
-    def mean(self) -> float:
-        """Mean photon number of the truncated part, sum(n * probs[n]).
-
-        The tail contributes at least ``(n_max + 1) * tail_mass`` on top of
-        this; callers that need a bound should add that term explicitly.
-        """
-        return float(np.arange(self.probs.size) @ self.probs)
-
 
 @dataclass(frozen=True)
 class PassiveSchemeParams:

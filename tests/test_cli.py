@@ -1,9 +1,11 @@
 """Scenario loading, validation, and the command-line entry point."""
 
 import io
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 import yaml
 
 import passiveqkd
+from passiveqkd import cli
 from passiveqkd.cli import (
     EXIT_DEGENERATE,
     EXIT_IO,
@@ -256,6 +259,18 @@ GAUSSIAN_NOISE = {"type": "gaussian", "sigma2": 1e9}
                      id="trusted-window"),
         pytest.param(dict(bundled("ideal-trusted"), delta_source="pipeline"), [],
                      "delta_source", id="trusted-delta-source"),
+        pytest.param({k: v for k, v in bundled("decoy-gaussian-noise").items() if k != "window"},
+                     [], "window", id="pipeline-pna-decoy-no-window"),
+        pytest.param(dict(bundled("ideal-apn"), seed=3), [], "seed", id="apn-seed"),
+        pytest.param(dict(bundled("lowtrans-pna"), M="abc"), [], "M", id="exact-pna-M"),
+        pytest.param(bundled("lowtrans-pna"), ["--seed", "3"], "seed", id="exact-pna-seed-flag"),
+        pytest.param(bundled("ideal-apn"), ["--alpha", "0.5"], "alpha", id="apn-alpha-flag"),
+        pytest.param(dict(bundled("mc-pipeline-demo"), f_ec=1.22), [], "f_ec",
+                     id="mc-pipeline-f_ec"),
+        pytest.param(dict(bundled("mc-pipeline-demo"), channel=GOOD_TRUSTED["channel"]), [],
+                     "channel", id="mc-pipeline-channel"),
+        pytest.param(dict(bundled("mc-pipeline-demo"), delta_source="exact"), [],
+                     "delta_source", id="mc-pipeline-delta-source"),
     ],
 )
 def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, data, flags, field):
@@ -323,6 +338,35 @@ def test_bundled_scenario_table_matches_golden(name):
     out = io.StringIO()
     assert run_scenario(name, stream=out) == EXIT_OK
     assert out.getvalue() == (GOLDEN / f"{name}.tsv").read_text(encoding="utf-8")
+
+
+def test_scenario_header_line_is_valid_input():
+    # the header records the scenario as run, so it can be run again
+    for name in bundled_scenarios():
+        lines = (GOLDEN / f"{name}.tsv").read_text(encoding="utf-8").splitlines()
+        [line] = [l for l in lines if l.startswith("# scenario: ")]
+        report = validate_scenario_dict(json.loads(line.removeprefix("# scenario: ")))
+        assert report.ok, (name, report.errors)
+
+
+def test_readme_mode_table_matches_modes():
+    # the README's table of the keys each mode reads is the one users see
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = text.splitlines()
+    start = lines.index(next(l for l in lines if l.startswith("| mode | requires |")))
+    header, rows = lines[start], itertools.takewhile(str.strip, lines[start + 2:])
+    names = lambda cell: tuple(re.findall(r"`([^`:]+)`", cell))
+    pipeline_keys = names(header.split("|")[4])
+    assert pipeline_keys == cli._PIPELINE_REQUIRES + cli._PIPELINE_READS
+    table = {}
+    for row in rows:
+        mode, requires, reads, pipeline = (c.strip() for c in row.strip("|").split("|"))
+        table[names(mode)[0]] = (names(requires), names(reads), pipeline)
+    assert table == {
+        mode: (requires, reads, "always" if mode == "mc-pipeline" else
+               "with `delta_source: pipeline`" if "delta_source" in reads else "never")
+        for mode, (requires, reads, _) in cli.MODES.items()
+    }
 
 
 @pytest.mark.parametrize(

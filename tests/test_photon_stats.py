@@ -27,13 +27,18 @@ def brute_force_thin(probs, t):
     return out
 
 
+def truncated_mean(pnd):
+    """sum(n * probs[n]) over the stored part of a distribution."""
+    return float(np.arange(pnd.probs.size) @ pnd.probs)
+
+
 def test_poisson_pnd_matches_pmf():
     mu = 3.7
     pnd = poisson_pnd(mu)
     expected = [math.exp(-mu) * mu**n / math.factorial(n) for n in range(10)]
     np.testing.assert_allclose(pnd.probs[:10], expected, rtol=1e-12)
     assert pnd.probs.sum() + pnd.tail_mass == pytest.approx(1.0, abs=1e-12)
-    assert pnd.mean == pytest.approx(mu, abs=1e-9)
+    assert truncated_mean(pnd) == pytest.approx(mu, abs=1e-9)
 
 
 def test_poisson_pnd_rejects_lossy_truncation():
@@ -112,7 +117,8 @@ def test_transform_composition(mu, t1, t2):
 @settings(max_examples=30, deadline=None)
 def test_transform_scales_mean(t):
     pnd = poisson_pnd(5.0)
-    assert bernoulli_transform(pnd, t).mean == pytest.approx(t * pnd.mean, abs=1e-8)
+    thinned = bernoulli_transform(pnd, t)
+    assert truncated_mean(thinned) == pytest.approx(t * truncated_mean(pnd), abs=1e-8)
 
 
 def test_multiphoton_probability_poisson():
@@ -150,4 +156,4 @@ def test_scheme_params_rejects_invalid_attenuator():
 def test_poisson_pnd_builds_at_large_means(mu):
     # scipy's pmf summed over thousands of terms misses 1 by more than 1e-12
     pnd = poisson_pnd(mu)
-    assert pnd.mean == pytest.approx(mu, rel=1e-9)
+    assert truncated_mean(pnd) == pytest.approx(mu, rel=1e-9)
