@@ -24,7 +24,7 @@ for eta in (0.01, 0.003, 0.001, 0.0003):
 
 print("\ncross-check against an explicit LP (truncated at 5000 photons):")
 eta = 0.01
-closed = maximize_ratio(eta, MU, k_cap=4999)
+closed = maximize_ratio(eta, MU)
 # maximize sum_k a_k P(k) over P(0..4999) >= 0 with mean MU and total 1
 ks = np.arange(5000)
 objective = np.concatenate([[0.0, 0.0], coefficient_a(ks[2:], eta)])

@@ -396,7 +396,7 @@ def run_scenario(
         return EXIT_DEGENERATE
 
     if s.noise is not None:  # only where the pipeline ran, with a scheme
-        mean_m = s.scheme.mu * s.scheme.t_B * s.scheme.t_D
+        mean_m = s.scheme.mu * s.scheme.xi
         if isinstance(s.noise, PoissonNoise):
             summary["R_SN_p"] = mean_m / s.noise.gamma
         else:

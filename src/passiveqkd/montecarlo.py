@@ -56,7 +56,13 @@ from .noise_bounds import (
     untagged_lower_bound_gaussian,
     untagged_lower_bound_poisson,
 )
-from .photon_stats import PassiveSchemeParams, PhotonNumberDistribution, bernoulli_transform
+from .photon_stats import (
+    PassiveSchemeParams,
+    PhotonNumberDistribution,
+    bernoulli_transform,
+    poisson_cut,
+    poisson_pmf,
+)
 
 __all__ = [
     "PoissonianSource",
@@ -264,10 +270,10 @@ class _GaussianReadings:
 
 
 def _poisson_weights(rate: float) -> tuple[np.ndarray, np.ndarray]:
-    """Counts over rate -+ 12 sd and their normalised Poisson(rate) pmf."""
-    spread = 12.0 * math.sqrt(rate)
-    m = np.arange(max(0, math.floor(rate - spread)), math.ceil(rate + spread + 20.0) + 1.0)
-    w = np.exp(special.xlogy(m, rate) - special.gammaln(m + 1.0) - rate)
+    """Counts from rate - 12 sd to ``poisson_cut(rate)`` and their normalised
+    Poisson(rate) pmf."""
+    m = np.arange(max(0, math.floor(rate - 12.0 * math.sqrt(rate))), poisson_cut(rate) + 1.0)
+    w = poisson_pmf(m, rate)
     return m, w / w.sum()
 
 

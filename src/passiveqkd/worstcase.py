@@ -32,7 +32,7 @@ def coefficient_a(k, eta: float):
     a_k = 1 - (1-eta)^k - k*eta*(1-eta)^(k-1), evaluated via expm1/log1p so
     small eta and large k do not lose precision.  Accepts scalar or array k.
     """
-    k_arr = np.asarray(k)
+    k_arr = np.asarray(k, dtype=float)
     if np.any(k_arr < 2):
         raise ValueError("k must be >= 2")
     if not 0.0 < eta < 1.0:
@@ -42,11 +42,12 @@ def coefficient_a(k, eta: float):
     return float(a) if np.isscalar(k) or k_arr.ndim == 0 else a
 
 
-def maximize_ratio(eta: float, mu: float, k_cap: int | None = None) -> WorstCaseResult:
+def maximize_ratio(eta: float, mu: float) -> WorstCaseResult:
     """Upper bound on the post-attenuation multiphoton probability.
 
     Returns mu a_{k_s} / k_s and the source on {0, k_s}, where k_s >= mu (so
-    P(n=0) >= 0) is the smallest maximizer of a_k / k on [max(2, ceil(mu)), k_cap).
+    P(n=0) >= 0) is the smallest maximizer of a_k / k over k >= k_lo =
+    max(2, ceil(mu)).
 
     Unimodality: with q = 1 - eta, d_k = a_{k+1} - a_k = k eta^2 q^(k-1), a_k / k
     is the mean of d_0 = 0, ..., d_{k-1}, and d rises, then falls, as
@@ -54,6 +55,12 @@ def maximize_ratio(eta: float, mu: float, k_cap: int | None = None) -> WorstCase
     true while d_k >= d_{k-1} (d_k is then the largest term, and d_0 < d_k).  Once
     false, d falls, so d_{k+1} < d_k <= (a_k + d_k)/(k + 1) = a_{k+1}/(k + 1) and it
     stays false.  Bisection finds its first false k, k_hat, the smallest maximizer.
+
+    Search range: at k >= 20/eta, x = k eta >= 20 and q^(k-1) <= e^(eta - x), so
+    k d_k <= e x^2 e^-x < 2.3e-6 while a_k >= 1 - (1 + e x) e^-x > 0.9999998:
+    a_k / k falls there, and the computed test sees it with a margin far beyond
+    rounding.  So the search range is [k_lo, max(k_lo, ceil(20/eta))], and when
+    k_lo is at or past ceil(20/eta) the answer is k_lo.
 
     Rounding: computed ratios are flat at the top; k_s is their first maximum
     over k_hat -+ h, h = 2 + floor(5 k_hat sqrt(eps)).  There a computed
@@ -72,24 +79,16 @@ def maximize_ratio(eta: float, mu: float, k_cap: int | None = None) -> WorstCase
         raise ValueError("mu must be non-negative")
     if mu == 0.0:
         return WorstCaseResult(0.0, 2, (1.0, 0.0))
-    if k_cap is None:
-        k_cap = int(math.ceil(20.0 / eta))
     k_lo = max(2, int(math.ceil(mu)))
-    if k_lo > k_cap:
-        raise ValueError(f"k_cap={k_cap} below feasibility threshold ceil(mu)={k_lo}")
-
+    k_hi = max(k_lo, int(math.ceil(20.0 / eta)))
     log1m = math.log1p(-eta)
 
     def falling(k: int) -> bool:  # a_{k+1}/(k+1) <= a_k/k, i.e. k d_k <= a_k
         return k * k * eta * eta * math.exp((k - 1) * log1m) <= coefficient_a(k, eta)
 
-    k_hat = k_lo + bisect_left(range(k_lo, k_cap), True, key=falling)
-    half = 2 + int(5.0 * k_hat * math.sqrt(np.finfo(float).eps))
-    best_k, best_val = _scan_range(eta, max(k_lo, k_hat - half), min(k_cap, k_hat + half))
-    if best_k == k_cap:
-        raise ValueError(
-            f"maximum of a_k/k not bracketed below k_cap={k_cap}; increase k_cap"
-        )
+    k_hat = k_lo + bisect_left(range(k_lo, k_hi), True, key=falling)
+    half = 2 + int(5.0 * math.sqrt(np.finfo(float).eps) * k_hat)
+    best_k, best_val = _scan_range(eta, max(k_lo, k_hat - half), min(k_hi, k_hat + half))
     w0 = 1.0 - mu / best_k
     return WorstCaseResult(
         p_multi_upper=best_val * mu,

@@ -319,6 +319,15 @@ def test_auto_minmax_run_whose_readings_all_tie_exits_3_naming_the_value(tmp_pat
         "error: all 5 readings are 0: an auto-minmax window needs two distinct readings\n")
 
 
+def test_apn_source_whose_mean_is_past_the_worst_case_peak_runs(tmp_path, capsys):
+    # mean output mu * eta = 25: the worst case is all mass on k = mu, whose
+    # multiphoton probability is about 1, so every row has rate 0
+    data = dict(GOOD_TRUSTED, mode="apn-bb84", scheme=dict(GOOD_TRUSTED["scheme"], lam=0.5))
+    assert main(["run", write_scenario(tmp_path, data)]) == EXIT_OK
+    rows = [l.split("\t") for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    assert len(rows) == 6 and all(row[1] == "0" for row in rows)
+
+
 def test_trusted_decoy_needs_no_attenuators():
     data = {
         "mode": "trusted-decoy",

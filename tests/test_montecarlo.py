@@ -186,7 +186,9 @@ def test_config_takes_numpy_integers_as_int():
 
 
 def test_explicit_source_rejects_heavy_tail():
-    pnd = poisson_pnd(50.0, n_max=60, tail_tol=1.0)
+    # Poisson(50) cut at 60 leaves 7.2% in the tail
+    n = np.arange(61)
+    pnd = PhotonNumberDistribution(stats.poisson.pmf(n, 50.0), stats.poisson.sf(60, 50.0))
     with pytest.raises(ValueError, match="tail"):
         ExplicitSource(pnd)
 

@@ -15,7 +15,7 @@ from passiveqkd import (
     multiphoton_probability,
     poisson_pnd,
 )
-from passiveqkd.photon_stats import _norm_tol
+from passiveqkd.photon_stats import _norm_tol, poisson_cut
 
 
 def brute_force_thin(probs, t):
@@ -41,17 +41,30 @@ def test_poisson_pnd_matches_pmf():
     assert truncated_mean(pnd) == pytest.approx(mu, abs=1e-9)
 
 
-def test_poisson_pnd_rejects_lossy_truncation():
-    with pytest.raises(ValueError, match="tail mass"):
-        poisson_pnd(100.0, n_max=50)
+def test_poisson_cut_leaves_a_negligible_tail():
+    # the tail past the cut, P(n >= a) with a = cut + 1, is at most
+    # p(a) / (1 - mu/(a + 1)), since later terms fall by at least mu/(a + 1),
+    # and Stirling's lower bound on a! gives p(a) <= exp(d - a ln(a/mu)) /
+    # sqrt(2 pi a) with d = a - mu.  Within one cut the tail grows with mu, so
+    # each cut is checked at its largest mean, where mu + 12 sqrt(mu) + 20 = cut.
+    # Plain floats throughout: scipy's pdtrc underestimates these tails
+    # above mu ~ 1e8 (4e-35 at 1e12, against 1.8e-33)
+    worst = 0.0
+    for mu in np.logspace(-6, 12, 20001).tolist():
+        cut = poisson_cut(mu)
+        top = (math.sqrt(cut + 16.0) - 6.0) ** 2
+        a, d = cut + 1, cut + 1 - top
+        p_a = math.exp(d - a * math.log1p(d / top)) / math.sqrt(2.0 * math.pi * a)
+        worst = max(worst, p_a / (1.0 - top / (a + 1)))
+    assert 6.6e-33 < worst <= 6.7e-33
 
 
 def test_thinning_closure_poisson():
     # thinning a Poissonian source is again Poissonian with scaled mean
     mu, t = 8.0, 0.35
     thinned = bernoulli_transform(poisson_pnd(mu), t)
-    direct = poisson_pnd(mu * t, n_max=thinned.n_max, tail_tol=1.0)
-    np.testing.assert_allclose(thinned.probs, direct.probs, atol=1e-12)
+    direct = stats.poisson.pmf(np.arange(thinned.n_max + 1), mu * t)
+    np.testing.assert_allclose(thinned.probs, direct, atol=1e-12)
 
 
 def test_transform_matches_brute_force():

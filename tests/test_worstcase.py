@@ -59,28 +59,13 @@ def test_maximize_ratio_zero_mean():
     assert res.p_multi_upper == 0.0
 
 
-def test_maximize_ratio_k_cap_too_small():
-    with pytest.raises(ValueError, match="k_cap"):
-        maximize_ratio(0.5, 100.0, k_cap=50)
-
-
-def test_maximize_ratio_unbracketed_maximum():
-    # at eta = 0.5 the optimum is tiny; an absurdly small cap that clips it
-    # must be reported, not silently accepted
-    with pytest.raises(ValueError, match="not bracketed"):
-        maximize_ratio(1e-4, 10.0, k_cap=100)
-
-
-def assert_matches_full_scan(eta, mu, k_cap=None):
-    # oracle: one exhaustive argmax of the computed a_k/k over the whole
-    # feasible range [max(2, ceil(mu)), k_cap], first maximum on ties
-    cap = int(math.ceil(20.0 / eta)) if k_cap is None else k_cap
-    k, ratio = _scan_range(eta, max(2, math.ceil(mu)), cap)
-    if k == cap:
-        with pytest.raises(ValueError, match="not bracketed"):
-            maximize_ratio(eta, mu, k_cap)
-        return
-    res = maximize_ratio(eta, mu, k_cap)
+def assert_matches_full_scan(eta, mu):
+    # oracle: one exhaustive argmax of the computed a_k/k over the feasible
+    # k >= k_lo = max(2, ceil(mu)) up to twice the search range's top,
+    # max(k_lo, ceil(20/eta)), first maximum on ties
+    k_lo = max(2, math.ceil(mu))
+    k, ratio = _scan_range(eta, k_lo, 2 * max(k_lo, math.ceil(20.0 / eta)))
+    res = maximize_ratio(eta, mu)
     assert res.k_star == k
     assert res.p_multi_upper == ratio * mu
 
@@ -105,27 +90,31 @@ def test_maximize_ratio_matches_full_scan_on_random_cases():
         eta = float(np.exp(rng.uniform(np.log(1e-4), np.log(0.3))))
         # mostly left of the peak near 1.79/eta, some beyond it
         mu = float(rng.uniform(0.0, 0.5 / eta if rng.random() < 0.8 else 3.0 / eta))
-        k_cap = None
         if rng.random() < 0.5:
-            k_cap = max(math.ceil(mu), 2, int(rng.uniform(0.5, 3.0) * 1.8 / eta))
-        assert_matches_full_scan(eta, mu, k_cap)
+            rng.uniform(0.5, 3.0)  # unused: keeps the cases drawn when half had a search cap
+        assert_matches_full_scan(eta, mu)
 
 
 def test_maximize_ratio_matches_full_scan_at_ties():
     for k in (8, 21, 40, 150, 1200, 2500, 10000):
         for eta in crossing_etas(k):
             assert_matches_full_scan(eta, 1.0)
-            assert_matches_full_scan(eta, 1.0, k_cap=k + 1)
 
 
-def test_maximize_ratio_matches_full_scan_at_k_cap_edge():
+def test_maximize_ratio_matches_full_scan_at_and_past_the_maximizer():
+    # a mean at or just past k_star moves the feasibility threshold over the
+    # maximum; past 20/eta the whole feasible range falls and k_lo itself wins
     for eta in (0.3, 0.05, 3e-3, 2e-4):
         k_star = maximize_ratio(eta, 1.0).k_star
-        for k_cap in (k_star - 1, k_star, k_star + 1, k_star + 2):
-            assert_matches_full_scan(eta, 1.0, k_cap)
-            # the feasibility threshold at the cap itself
-            assert_matches_full_scan(eta, float(k_cap), k_cap)
-            assert_matches_full_scan(eta, k_cap - 0.5, k_cap)
+        for mu in (k_star - 1.0, float(k_star), k_star + 0.5, k_star + 2.0):
+            assert_matches_full_scan(eta, mu)
+    for eta, mu in ((0.5, 100.0), (0.1, 250.0), (1e-3, 2e4), (0.3, 1e3), (1e-4, 5e5)):
+        assert mu * eta >= 20.0
+        assert_matches_full_scan(eta, mu)
+        assert maximize_ratio(eta, mu).k_star == math.ceil(mu)
+    # past int64 and up to the largest float, k_lo is still the answer
+    for mu in (1e20, 1e300, 1.7e308):
+        assert maximize_ratio(0.25, mu).k_star == math.ceil(mu)
 
 
 def test_maximize_ratio_matches_scan_on_wide_flat_tops():
@@ -165,7 +154,8 @@ def test_closed_form_agrees_with_lp(worst_case_lp):
     # mean constraint + normalization: optimum is the two-point distribution
     # on {0, k_star} whenever k_star fits inside the truncation
     eta, mu, n_cols = 0.05, 3.0, 500
-    res = maximize_ratio(eta, mu, k_cap=n_cols - 1)
+    res = maximize_ratio(eta, mu)
+    assert res.k_star < n_cols - 1
     value, x = worst_case_lp(eta, mu, n_cols)
     assert value == pytest.approx(res.p_multi_upper, abs=1e-11)
     assert x[res.k_star] == pytest.approx(res.optimal_pnd_weights[1], abs=1e-9)
