@@ -86,7 +86,8 @@ def load_scenario(name_or_path: str) -> dict:
     path = bundled_scenarios().get(name_or_path, name_or_path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            # libyaml's parser where PyYAML was built with it; the same mapping either way
+            data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -239,6 +239,14 @@ def _binom_pmf_range(n: int, lam: float, m1: float, m2: float) -> tuple[float, f
     return min(vals[:2]), max(vals)
 
 
+def _exp(x: float) -> float:
+    """e^x, or inf where it passes the largest float."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _poisson_pmf(nu: float):
     """The exact Poisson(nu) pmf at n, as its own (lo, hi) bracket."""
     return lambda n: (nu**n * math.exp(-nu),) * 2
@@ -276,7 +284,9 @@ def _decoy_elimination(signal, decoy, c: float, Y0: float, e0: float, f_ec: floa
     So the rate 1/2 [-Q_s f_ec H2(E_s) + q1 (1 - H2(e1))], floored at 0,
     is at most the one that the true u_s p_s(1) Y_1 and e_1 would give.  It
     is 0 when a fraction is 0 (all may be tagged), when p_d1_hi - c p_s1_lo
-    is not positive, or when y1 or q1 is not positive.
+    is not positive, or when y1 or q1 is not positive.  A c past the float
+    range is inf: then p_d1_hi - c p_s1_lo is -inf, or NaN where p_s1_lo = 0
+    (whose q1 is 0), and either way the rate is 0.
     """
     Q_s, E_s, omd_s, pmf_s = signal
     Q_d, E_d, omd_d, pmf_d = decoy
@@ -288,7 +298,7 @@ def _decoy_elimination(signal, decoy, c: float, Y0: float, e0: float, f_ec: floa
     q_d_lo = max(0.0, Q_d - (1.0 - omd_d))
     q_s_hi = Q_s / omd_s
     denom = p_d1_hi - c * p_s1_lo
-    if denom <= 0.0:
+    if not denom > 0.0:  # NaN too: inf c times p_s1_lo = 0
         return 0.0
     y1_lower = (q_d_lo - c * q_s_hi - (p_d0_hi - c * p_s0_lo) * Y0) / denom
     if y1_lower <= 0.0:
@@ -318,7 +328,7 @@ def _untagged_decoy_terms(
     # The pointwise binomial ratio p_d(n) / p_s(n) decreases in n and
     # increases in m, so its maximum over n >= 2 sits at n = 2, m = m2.
     log_r = math.log(lam_d) + math.log1p(-lam_s) - math.log(lam_s) - math.log1p(-lam_d)
-    c = math.exp(2.0 * log_r + m2 * (math.log1p(-lam_d) - math.log1p(-lam_s)))
+    c = _exp(2.0 * log_r + m2 * (math.log1p(-lam_d) - math.log1p(-lam_s)))
     return (
         (mu_out * settings.lambda_s, partial(_binom_pmf_range, lam=lam_s, m1=m1, m2=m2)),
         (mu_out * settings.lambda_d, partial(_binom_pmf_range, lam=lam_d, m1=m1, m2=m2)),
@@ -371,6 +381,6 @@ def decoy_rate_trusted(
     rate = _decoy_elimination(
         (Q_s, E_s, 1.0, _poisson_pmf(nu_s)),
         (Q_d, E_d, 1.0, _poisson_pmf(nu_d)),
-        (nu_d / nu_s) ** 2 * math.exp(nu_s - nu_d), ch.Y0, ch.e0, f_ec,
+        (nu_d / nu_s) ** 2 * _exp(nu_s - nu_d), ch.Y0, ch.e0, f_ec,
     )
     return RatePoint(L=ch.L, rate=rate, delta_bar=0.0, Q=Q_s, E=E_s)

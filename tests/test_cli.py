@@ -115,6 +115,24 @@ def test_missing_file_is_io_error(tmp_path):
     assert main(["validate", str(tmp_path / "nope.yaml")]) == EXIT_IO
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_malformed_yaml_is_io_error_naming_file_line_and_column(tmp_path, capsys, command):
+    path = tmp_path / "bad.yaml"
+    path.write_text("mode: trusted-bb84\nscheme:\n  t_B: [0.5\n  mu: 1\n", encoding="utf-8")
+    assert main([command, str(path)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert "malformed YAML" in err and str(path) in err
+    assert re.search(r"line \d+, column \d+", err)
+
+
+def test_load_scenario_gives_the_pure_python_loaders_mapping():
+    # yaml.safe_load, PyYAML's pure-Python loader, is the oracle; repr also
+    # tells an int from an equal float
+    for name, path in bundled_scenarios().items():
+        expected = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        assert repr(cli.load_scenario(name)) == repr(expected), name
+
+
 def test_run_trusted_sweep(tmp_path, capsys):
     path = write_scenario(tmp_path, GOOD_TRUSTED)
     assert main(["run", path]) == EXIT_OK
@@ -326,6 +344,15 @@ def test_apn_source_whose_mean_is_past_the_worst_case_peak_runs(tmp_path, capsys
     assert main(["run", write_scenario(tmp_path, data)]) == EXIT_OK
     rows = [l.split("\t") for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
     assert len(rows) == 6 and all(row[1] == "0" for row in rows)
+
+
+@pytest.mark.parametrize("name", ["decoy-gaussian-noise", "decoy-poisson-noise"])
+def test_decoy_attenuator_whose_c_passes_the_float_range_gives_rate_0(tmp_path, capsys, name):
+    # lambda_s 0.5 makes c = exp(2 ln r + m2 (...)) overflow at m2 ~ 1e7
+    data = changed(bundled(name), "decoy", lambda_s=0.5)
+    assert main(["run", write_scenario(tmp_path, data)]) == EXIT_OK
+    rows = [l.split("\t") for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    assert len(rows) == 151 and all(row[1] == "0" for row in rows)
 
 
 def test_trusted_decoy_needs_no_attenuators():

@@ -190,6 +190,23 @@ def test_decoy_rate_trusted_reference_behaviour():
     assert rates[3] == 0.0
 
 
+@pytest.mark.parametrize("nu_d", [0.1, 1e-200])
+def test_decoy_rate_trusted_is_zero_where_c_passes_the_float_range(nu_d):
+    # c = (nu_d / nu_s)^2 e^(nu_s - nu_d): e^800 passes the largest float, so
+    # c is inf, or NaN where (nu_d / nu_s)^2 underflows to 0
+    assert decoy_rate_trusted(GYS, 800.0, nu_d, 1.22).rate == 0.0
+
+
+@pytest.mark.parametrize("m1", [9.8e6, 0.0])
+def test_decoy_rate_untagged_is_zero_where_c_passes_the_float_range(m1):
+    # lambda_A,s m2 ~ 7e5 puts c = exp(2 ln r + m2 (...)) past the float range;
+    # from m1 = 0 the signal's single-photon bracket p_s1_lo is 0 and c p_s1_lo NaN
+    scheme = PassiveSchemeParams(t_B=0.9, t_D=0.76, lam=3.42e-7, mu=1.462e7)
+    settings_ = DecoySettings(0.5, 0.1, 0.5, 6.84e-8, f_ec=1.22)
+    w = ThresholdWindow(m1, 1.02e7)
+    assert decoy_rate_untagged(scheme, GYS, settings_, w, 1.0, 1.0).rate == 0.0
+
+
 def test_decoy_rate_untagged_zero_when_fully_tagged():
     scheme = PassiveSchemeParams(t_B=0.9, t_D=0.76, lam=3.42e-7, mu=1.462e7)
     settings_ = DecoySettings(0.5, 0.1, 3.42e-7, 6.84e-8, f_ec=1.22)

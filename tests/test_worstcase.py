@@ -5,10 +5,15 @@ mean-constrained LP with ``scipy.optimize.linprog(method="highs")``.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import passiveqkd
 from passiveqkd import coefficient_a, maximize_ratio
 from passiveqkd.worstcase import _scan_range
 
@@ -140,6 +145,65 @@ def test_maximize_ratio_far_beyond_a_full_scan():
     assert mu * coefficient_a(k0, eta) / k0 <= res.p_multi_upper <= mu * ell * g_star
     # the first computed maximum lies within the docstring's 4.8 sqrt(eps) k
     assert abs(res.k_star - k0) <= 5.0 * math.sqrt(np.finfo(float).eps) * k0
+
+
+X_STAR = 1.7932821329007610  # the maximizer of g(x) = (1 - e^-x - x e^-x)/x
+EPS = sys.float_info.epsilon
+
+
+@pytest.mark.parametrize("eta", [1e-14, 1e-19, 1e-300])
+def test_maximize_ratio_returns_between_the_sandwich_sides_at_tiny_eta(eta):
+    # k* ~ 1.8/eta passes the 2^18 scan cap, 2^63 and (at 1e-300) any
+    # integer range: the bound lies between mu a(k0)/k0 and mu ell g(x*),
+    # which it may pass by the 9 eps that the cut scan adds, and rounding
+    mu = 0.1 / eta
+    res = maximize_ratio(eta, mu)
+    ell = -math.log1p(-eta)
+    k0 = float(round(X_STAR / ell))
+    g_star = (-math.expm1(-X_STAR) - X_STAR * math.exp(-X_STAR)) / X_STAR
+    assert mu * coefficient_a(k0, eta) / k0 <= res.p_multi_upper
+    assert res.p_multi_upper <= mu * ell * g_star * (1.0 + 16.0 * EPS)
+    assert abs(res.k_star / k0 - 1.0) <= 5.0 * math.sqrt(EPS)
+    assert res.optimal_pnd_weights == (1.0 - mu / res.k_star, mu / res.k_star)
+
+
+def test_maximize_ratio_below_the_eta_floor_is_still_an_upper_bound():
+    # 20/eta passes the largest float: the search runs at eta = 1e-306, and
+    # a_k grows with eta, so its bound holds for the smaller eta
+    for eta in (1e-307, 5e-324):
+        res = maximize_ratio(eta, 1.0)
+        assert res == maximize_ratio(1e-306, 1.0)
+        assert res.p_multi_upper >= -math.log1p(-eta) * 0.2984256  # above ell g(x*)
+
+
+def test_maximize_ratio_cut_scan_covers_the_full_scans_maximum():
+    # at eta = 2e-13 the flat top's full scan (k0 -+ 6.7e5) passes the 2^18 cap;
+    # the cut scan's bound is the full scan's first maximum, raised by at most
+    # the 9 eps margin and rounding
+    eta, mu = 2e-13, 0.1 / 2e-13
+    res = maximize_ratio(eta, mu)
+    k0 = round(X_STAR / -math.log1p(-eta))
+    half = 10 + int(5.0 * math.sqrt(EPS) * k0)
+    assert half > 1 << 18
+    _, ratio = _scan_range(eta, k0 - half, k0 + half)
+    assert ratio * mu <= res.p_multi_upper <= ratio * mu * (1.0 + 10.0 * EPS)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
+def test_maximize_ratio_memory_is_bounded_at_tiny_eta():
+    # the uncut flat-top scan at eta = 1e-14 held 2.7e7 ratios, 1.25 GB.  The
+    # child's peak RSS is its VmHWM: its ru_maxrss would carry over the
+    # high-water mark of the test process it was forked from.
+    env = dict(os.environ, PYTHONPATH=str(Path(passiveqkd.__file__).parents[1]))
+    code = (
+        "from passiveqkd import maximize_ratio; maximize_ratio(1e-14, 1e13); "
+        "print(*[l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM')])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 200 * 1024  # kB
 
 
 def test_maximize_ratio_scales_linearly_in_mu():
