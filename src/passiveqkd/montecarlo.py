@@ -269,18 +269,12 @@ class _GaussianReadings:
         return x
 
 
-@lru_cache(maxsize=8)
 def _poisson_weights(rate: float) -> tuple[np.ndarray, np.ndarray]:
     """Counts from rate - 12 sd to ``poisson_cut(rate)`` and their normalised
-    Poisson(rate) pmf; the arrays are read-only.
-
-    Keyed by the rate, so the runs of one scheme build the pmf once.
-    """
+    Poisson(rate) pmf."""
     m = np.arange(max(0, math.floor(rate - 12.0 * math.sqrt(rate))), poisson_cut(rate) + 1.0)
     w = poisson_pmf(m, rate)
-    w = w / w.sum()
-    m.flags.writeable = w.flags.writeable = False
-    return m, w
+    return m, w / w.sum()
 
 
 @lru_cache(maxsize=8)

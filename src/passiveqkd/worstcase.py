@@ -25,6 +25,12 @@ _SCAN_HALF = 1 << 18  # the final scan's half-width cap: 2^19 + 1 ratios, ~4 MB 
 
 @dataclass(frozen=True)
 class WorstCaseResult:
+    """The bound ``mu a_k / k`` and the worst-case source on {0, k_star}.
+
+    For eta below 1e-306 only ``p_multi_upper`` describes the given eta:
+    ``k_star`` and the weights are those of the worst-case source at 1e-306.
+    """
+
     p_multi_upper: float
     k_star: int
     optimal_pnd_weights: tuple[float, float]  # (P(n=0), P(n=k_star))
@@ -68,7 +74,9 @@ def maximize_ratio(eta: float, mu: float) -> WorstCaseResult:
     rounding.  So the search range is [k_lo, max(k_lo, ceil(20/eta))], and when
     k_lo is at or past ceil(20/eta) the answer is k_lo.  Below eta = 1e-306
     that range would pass the largest float, so eta is raised to 1e-306: a_k
-    grows with eta, so the result is still an upper bound.
+    grows with eta, so ``p_multi_upper`` is still an upper bound, but
+    ``k_star`` and the weights are then the worst-case source at 1e-306, not
+    at the eta given.
 
     Rounding: computed ratios are flat at the top; k_s is their first maximum
     over k_hat -+ h, h = 2 + floor(5 k_hat sqrt(eps)), scanned with numpy's

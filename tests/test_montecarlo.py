@@ -303,24 +303,6 @@ def test_equal_explicit_sources_thin_once(monkeypatch):
     assert runs[0] == runs[1]
 
 
-def test_gaussian_poissonian_runs_share_one_read_only_pmf(monkeypatch):
-    # the Poissonian source's pmf under Gaussian noise is cached by its rate,
-    # and a run cannot write into what the next run reads
-    calls = []
-    real = montecarlo.poisson_pmf
-    monkeypatch.setattr(montecarlo, "poisson_pmf", lambda *args: calls.append(args) or real(*args))
-    montecarlo._poisson_weights.cache_clear()
-    runs = [
-        _exact(RunConfig(M=2000, seed=7, source=PoissonianSource(40.0), scheme=ORACLE_SCHEME,
-                         noise=GaussianNoise(4.0), window=ORACLE_WINDOW))
-        for _ in range(2)
-    ]
-    assert len(calls) == 1
-    assert runs[0] == runs[1]
-    counts, weights = montecarlo._poisson_weights(40.0 * ORACLE_SCHEME.xi)
-    assert not counts.flags.writeable and not weights.flags.writeable
-
-
 def test_exact_fixed_window_count_matches_hit_probability():
     # k' of the exact draw is Binomial(M, P_hit) overall: mean and spread
     # over seeds against the Poisson window mass
