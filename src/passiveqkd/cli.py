@@ -118,9 +118,10 @@ def _build(report, section, cls, spec, skip=(), **given):
     """``cls(**spec, **given)``, or None with every problem in the report.
 
     ``spec`` may and must hold the fields of ``cls`` less ``skip`` and
-    ``given``, with their types; callables in ``given`` get the checked
-    ``spec``.  Library messages start with the offending field's name.
-    An absent section (``spec`` None) gives None.
+    ``given``, with their types; an integer given for a float field
+    arrives as a float.  Callables in ``given`` get the checked ``spec``.
+    Library messages start with the offending field's name.  An absent
+    section (``spec`` None) gives None.
     """
     if spec is None:
         return None
@@ -129,6 +130,7 @@ def _build(report, section, cls, spec, skip=(), **given):
     required = {f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING}
     problems = _key_problems(spec, kinds, required)
     if not problems:
+        spec = {k: float(v) if kinds[k] == "float" else v for k, v in spec.items()}
         given = {k: v(spec) if callable(v) else v for k, v in given.items()}
         try:
             return cls(**spec, **given)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .noise_bounds import ThresholdWindow
 from .photon_stats import PassiveSchemeParams, log_binom_pmf
@@ -221,16 +221,16 @@ def pna_rate_bb84(
     return replace(point, rate=0.0) if delta >= 1.0 else point
 
 
-@lru_cache(maxsize=256)
 def _binom_pmf_range(n: int, lam: float, m1: float, m2: float) -> tuple[float, float]:
     """Min and max over m in [m1, m2] of the Binomial(m, lam) pmf at n.
 
     As a function of m the pmf rises while m < n / lam - 1 and falls after,
     so the extremes sit at the endpoints and (for the max) at the mode.
-    Memoized: a decoy curve asks for the same four brackets at every point.
+    Where n / lam passes m2 + 2 (or is inf, at a subnormal lam) the mode's
+    neighbours all lie above m2.
     """
     candidates = [m1, m2]
-    if n >= 1:
+    if n >= 1 and n / lam <= m2 + 2.0:
         m_star = math.floor(n / lam)
         for mm in (m_star - 1, m_star, m_star + 1):
             if m1 <= mm <= m2:
@@ -247,22 +247,16 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def _poisson_pmf(nu: float):
-    """The exact Poisson(nu) pmf at n, as its own (lo, hi) bracket."""
-    return lambda n: (nu**n * math.exp(-nu),) * 2
-
-
 def _decoy_elimination(signal, decoy, c: float, Y0: float, e0: float, f_ec: float) -> float:
     """Signal/weak-decoy/vacuum elimination on untagged pulses; the key rate.
 
     The elimination of Ma, Qi, Zhao and Lo (PRA 72, 012326, 2005), run on
     the untagged pulses of Zhao, Qi and Lo (PRA 77, 052327, 2008).
-    ``signal`` and ``decoy`` are each (Q, E, u, pmf): the observed gain and
-    QBER, the untagged fraction u = 1 - delta, and pmf(n), the (lo, hi)
-    bracket of an untagged pulse's n-photon probability p(n) for n = 0, 1
-    (called only once both fractions are positive, so a fully tagged point
-    evaluates no pmf).  ``c`` must satisfy c >= p_d(n) / p_s(n) for every
-    n >= 2; Y0 and e0 are the vacuum yield and its error rate.
+    ``signal`` and ``decoy`` are each (Q, E, u, (p0, p1)): the observed gain
+    and QBER, the untagged fraction u = 1 - delta, and the (lo, hi) brackets
+    of an untagged pulse's vacuum and single-photon probabilities p(0) and
+    p(1).  ``c`` must satisfy c >= p_d(n) / p_s(n) for every n >= 2; Y0 and
+    e0 are the vacuum yield and its error rate.
 
     Untagged pulses of both intensities share yields Y_n and error rates
     e_n, so q = sum_n p(n) Y_n, and Q = u q + T with a tagged gain
@@ -288,12 +282,10 @@ def _decoy_elimination(signal, decoy, c: float, Y0: float, e0: float, f_ec: floa
     range is inf: then p_d1_hi - c p_s1_lo is -inf, or NaN where p_s1_lo = 0
     (whose q1 is 0), and either way the rate is 0.
     """
-    Q_s, E_s, omd_s, pmf_s = signal
-    Q_d, E_d, omd_d, pmf_d = decoy
+    Q_s, E_s, omd_s, ((p_s0_lo, _), (p_s1_lo, _)) = signal
+    Q_d, E_d, omd_d, ((p_d0_lo, p_d0_hi), (p_d1_lo, p_d1_hi)) = decoy
     if omd_s <= 0.0 or omd_d <= 0.0:
         return 0.0
-    (p_s0_lo, _), (p_s1_lo, _) = pmf_s(0), pmf_s(1)
-    (p_d0_lo, p_d0_hi), (p_d1_lo, p_d1_hi) = pmf_d(0), pmf_d(1)
 
     q_d_lo = max(0.0, Q_d - (1.0 - omd_d))
     q_s_hi = Q_s / omd_s
@@ -317,7 +309,7 @@ def _decoy_elimination(signal, decoy, c: float, Y0: float, e0: float, f_ec: floa
 def _untagged_decoy_terms(
     scheme: PassiveSchemeParams, settings: DecoySettings, m1: float, m2: float
 ):
-    """Each intensity's encoder-output APN and (lazy) pmf bracket, and c.
+    """Each intensity's encoder-output APN and p(0), p(1) brackets, and c.
 
     None of them depends on the channel, so a curve computes them once.
     """
@@ -330,8 +322,8 @@ def _untagged_decoy_terms(
     log_r = math.log(lam_d) + math.log1p(-lam_s) - math.log(lam_s) - math.log1p(-lam_d)
     c = _exp(2.0 * log_r + m2 * (math.log1p(-lam_d) - math.log1p(-lam_s)))
     return (
-        (mu_out * settings.lambda_s, partial(_binom_pmf_range, lam=lam_s, m1=m1, m2=m2)),
-        (mu_out * settings.lambda_d, partial(_binom_pmf_range, lam=lam_d, m1=m1, m2=m2)),
+        (mu_out * settings.lambda_s, tuple(_binom_pmf_range(n, lam_s, m1, m2) for n in (0, 1))),
+        (mu_out * settings.lambda_d, tuple(_binom_pmf_range(n, lam_d, m1, m2) for n in (0, 1))),
         c,
     )
 
@@ -355,11 +347,11 @@ def decoy_rate_untagged(
         if not 0.0 <= omd <= 1.0:
             raise ValueError("untagged fractions must be in [0, 1]")
     m1, m2 = max(0.0, w.m1), w.m2
-    (mu_s, pmf_s), (mu_d, pmf_d), c = _untagged_decoy_terms(scheme, settings, m1, m2)
+    (mu_s, p_s), (mu_d, p_d), c = _untagged_decoy_terms(scheme, settings, m1, m2)
     Q_s, E_s = channel_gain_qber(mu_s, ch)
     Q_d, E_d = channel_gain_qber(mu_d, ch)
     rate = _decoy_elimination(
-        (Q_s, E_s, one_minus_delta_s, pmf_s), (Q_d, E_d, one_minus_delta_d, pmf_d),
+        (Q_s, E_s, one_minus_delta_s, p_s), (Q_d, E_d, one_minus_delta_d, p_d),
         c, ch.Y0, ch.e0, settings.f_ec,
     )
     return RatePoint(L=ch.L, rate=rate, delta_bar=1.0 - one_minus_delta_s, Q=Q_s, E=E_s)
@@ -370,17 +362,18 @@ def decoy_rate_trusted(
 ) -> RatePoint:
     """Three-intensity decoy rate for a trusted Poissonian source.
 
-    The same elimination with nothing tagged and the exact Poisson pmfs.
-    Their ratio (nu_d / nu_s)^n e^(nu_s - nu_d) falls with n, so c is its
-    value at n = 2.
+    The same elimination with nothing tagged and the exact Poisson p(0) =
+    e^-nu and p(1) = nu e^-nu, each its own (lo, hi) bracket.  Their ratio
+    (nu_d / nu_s)^n e^(nu_s - nu_d) falls with n, so c is its value at n = 2.
     """
     if not 0.0 < nu_d < nu_s:
         raise ValueError("need 0 < nu_d < nu_s")
     Q_s, E_s = channel_gain_qber(nu_s, ch)
     Q_d, E_d = channel_gain_qber(nu_d, ch)
+    p0_s, p0_d = math.exp(-nu_s), math.exp(-nu_d)
     rate = _decoy_elimination(
-        (Q_s, E_s, 1.0, _poisson_pmf(nu_s)),
-        (Q_d, E_d, 1.0, _poisson_pmf(nu_d)),
+        (Q_s, E_s, 1.0, ((p0_s,) * 2, (nu_s * p0_s,) * 2)),
+        (Q_d, E_d, 1.0, ((p0_d,) * 2, (nu_d * p0_d,) * 2)),
         (nu_d / nu_s) ** 2 * _exp(nu_s - nu_d), ch.Y0, ch.e0, f_ec,
     )
     return RatePoint(L=ch.L, rate=rate, delta_bar=0.0, Q=Q_s, E=E_s)

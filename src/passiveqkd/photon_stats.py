@@ -92,6 +92,9 @@ class PassiveSchemeParams:
             raise ValueError("t_B must be in (0, 1)")
         if not 0.0 < self.t_D <= 1.0:
             raise ValueError("t_D must be in (0, 1]")
+        if self.xi == 0.0:
+            smaller = "t_B" if self.t_B < self.t_D else "t_D"
+            raise ValueError(f"{smaller} makes xi = t_B * t_D underflow to 0")
         if self.mu <= 0.0:
             raise ValueError("mu must be positive")
         if not 0.0 < self.lam <= 1.0:

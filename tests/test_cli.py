@@ -289,6 +289,11 @@ GAUSSIAN_NOISE = {"type": "gaussian", "sigma2": 1e9}
                      "channel", id="mc-pipeline-channel"),
         pytest.param(dict(bundled("mc-pipeline-demo"), delta_source="exact"), [],
                      "delta_source", id="mc-pipeline-delta-source"),
+        # t_B t_D underflows to 0
+        pytest.param(changed(bundled("ideal-apn"), "scheme", t_D=5e-324), [], "scheme.t_D",
+                     id="apn-t_D-xi-underflow"),
+        pytest.param(changed(bundled("ideal-trusted"), "scheme", t_D=5e-324), [], "scheme.t_D",
+                     id="trusted-t_D-xi-underflow"),
     ],
 )
 def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, data, flags, field):
@@ -353,6 +358,26 @@ def test_decoy_attenuator_whose_c_passes_the_float_range_gives_rate_0(tmp_path, 
     assert main(["run", write_scenario(tmp_path, data)]) == EXIT_OK
     rows = [l.split("\t") for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
     assert len(rows) == 151 and all(row[1] == "0" for row in rows)
+
+
+@pytest.mark.parametrize("name", ["decoy-gaussian-noise", "decoy-poisson-noise"])
+def test_decoy_subnormal_attenuator_gives_rate_0(tmp_path, capsys, name):
+    # lambda_d 1e-310 gives a subnormal lambda_A, whose 1 / lambda_A is inf;
+    # a decoy that carries almost no photon bounds no single-photon yield
+    data = changed(bundled(name), "decoy", lambda_d=1e-310)
+    assert main(["run", write_scenario(tmp_path, data)]) == EXIT_OK
+    rows = [l.split("\t") for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    assert len(rows) == 151 and all(row[1] == "0" for row in rows)
+
+
+@pytest.mark.parametrize("name", ["lowtrans-pna", "realistic-pna"])
+def test_integer_threshold_past_int64_prints_the_float_table(tmp_path, capsys, name):
+    tables = []
+    for m2 in (10**30, 1e30):
+        assert main(["run", write_scenario(tmp_path, changed(bundled(name), "window", m2=m2))]) \
+            == EXIT_OK
+        tables.append([l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")])
+    assert tables[0] == tables[1] and tables[0]
 
 
 def test_trusted_decoy_needs_no_attenuators():

@@ -211,7 +211,11 @@ def test_decoy_rate_untagged_zero_when_fully_tagged():
     scheme = PassiveSchemeParams(t_B=0.9, t_D=0.76, lam=3.42e-7, mu=1.462e7)
     settings_ = DecoySettings(0.5, 0.1, 3.42e-7, 6.84e-8, f_ec=1.22)
     w = ThresholdWindow(9.8e6, 1.02e7)
-    assert decoy_rate_untagged(scheme, GYS, settings_, w, 0.0, 0.0).rate == 0.0
+    ch = GYS.at_distance(50.0)
+    # either intensity fully tagged is enough
+    for fractions in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0)):
+        assert decoy_rate_untagged(scheme, ch, settings_, w, *fractions).rate == 0.0
+    assert decoy_rate_untagged(scheme, ch, settings_, w, 1.0, 1.0).rate > 0.0
 
 
 def test_decoy_rate_untagged_approaches_trusted_with_tight_window():
@@ -368,7 +372,6 @@ def test_decoy_elimination_never_beats_an_admissible_attack(monkeypatch):
 
 def _clear_decoy_caches():
     keyrate._untagged_decoy_terms.cache_clear()
-    keyrate._binom_pmf_range.cache_clear()
 
 
 def test_decoy_rate_untagged_rejects_lambda_a_above_one_on_every_call():
@@ -382,9 +385,17 @@ def test_decoy_rate_untagged_rejects_lambda_a_above_one_on_every_call():
             decoy_rate_untagged(scheme, GYS, settings_, w, 1.0, 1.0)
 
 
-def test_decoy_rate_untagged_cache_entries_do_not_cross():
+def test_decoy_rate_untagged_cache_entries_do_not_cross(monkeypatch):
     # interleaved calls over two schemes and two windows, with warm caches,
-    # give exactly the points of each curve computed from cleared caches
+    # give exactly the points of each curve computed from cleared caches;
+    # a curve evaluates its four brackets once: at most 2 + 5 pmfs per
+    # intensity, two endpoints for p(0) and two endpoints and three mode
+    # candidates for p(1)
+    calls = []
+    real = keyrate.log_binom_pmf
+    monkeypatch.setattr(
+        keyrate, "log_binom_pmf", lambda *args: calls.append(args) or real(*args)
+    )
     schemes = (TABLE2_SCHEME, replace(TABLE2_SCHEME, t_D=0.7))
     mean_m = TABLE2_SCHEME.mu * TABLE2_SCHEME.xi
     windows = [
@@ -396,33 +407,20 @@ def test_decoy_rate_untagged_cache_entries_do_not_cross():
     fresh = {}
     for combo in combos:
         _clear_decoy_caches()
+        calls.clear()
         scheme, w = combo
         fresh[combo] = [
             decoy_rate_untagged(scheme, ch, TABLE2_DECOY, w, 0.999999, 0.999998) for ch in chs
         ]
+        assert 0 < len(calls) <= 14
     _clear_decoy_caches()
+    calls.clear()
     for i, ch in enumerate(chs):
         for scheme, w in combos:
             point = decoy_rate_untagged(scheme, ch, TABLE2_DECOY, w, 0.999999, 0.999998)
             assert point == fresh[scheme, w][i]
+    assert len(calls) <= 14 * len(combos)
     # the four curves differ, so an entry served to the wrong key would show
     curves = [tuple(p.rate for p in fresh[combo]) for combo in combos]
     assert len(set(curves)) == len(combos)
     assert all(any(rate > 0.0 for rate in curve) for curve in curves)
-
-
-def test_decoy_rate_untagged_fully_tagged_point_evaluates_no_pmf(monkeypatch):
-    calls = []
-    real = keyrate.log_binom_pmf
-    monkeypatch.setattr(
-        keyrate, "log_binom_pmf", lambda *args: calls.append(args) or real(*args)
-    )
-    _clear_decoy_caches()
-    w = ThresholdWindow(9.8e6, 1.02e7)
-    ch = GYS.at_distance(50.0)
-    for fractions in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0)):
-        point = decoy_rate_untagged(TABLE2_SCHEME, ch, TABLE2_DECOY, w, *fractions)
-        assert point.rate == 0.0
-    assert calls == []
-    assert decoy_rate_untagged(TABLE2_SCHEME, ch, TABLE2_DECOY, w, 1.0, 1.0).rate > 0.0
-    assert calls
