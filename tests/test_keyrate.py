@@ -211,11 +211,7 @@ def test_decoy_rate_untagged_zero_when_fully_tagged():
     scheme = PassiveSchemeParams(t_B=0.9, t_D=0.76, lam=3.42e-7, mu=1.462e7)
     settings_ = DecoySettings(0.5, 0.1, 3.42e-7, 6.84e-8, f_ec=1.22)
     w = ThresholdWindow(9.8e6, 1.02e7)
-    ch = GYS.at_distance(50.0)
-    # either intensity fully tagged is enough
-    for fractions in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0)):
-        assert decoy_rate_untagged(scheme, ch, settings_, w, *fractions).rate == 0.0
-    assert decoy_rate_untagged(scheme, ch, settings_, w, 1.0, 1.0).rate > 0.0
+    assert decoy_rate_untagged(scheme, GYS, settings_, w, 0.0, 0.0).rate == 0.0
 
 
 def test_decoy_rate_untagged_approaches_trusted_with_tight_window():
@@ -424,3 +420,22 @@ def test_decoy_rate_untagged_cache_entries_do_not_cross(monkeypatch):
     curves = [tuple(p.rate for p in fresh[combo]) for combo in combos]
     assert len(set(curves)) == len(combos)
     assert all(any(rate > 0.0 for rate in curve) for curve in curves)
+
+
+def test_decoy_rate_untagged_fully_tagged_point_evaluates_no_pmf(monkeypatch):
+    # the brackets are computed when a curve's cache entry is filled; past
+    # that, a fully tagged point evaluates no pmf, and either intensity
+    # fully tagged gives rate 0
+    _clear_decoy_caches()
+    w = ThresholdWindow(9.8e6, 1.02e7)
+    ch = GYS.at_distance(50.0)
+    assert decoy_rate_untagged(TABLE2_SCHEME, ch, TABLE2_DECOY, w, 1.0, 1.0).rate > 0.0
+    calls = []
+    real = keyrate.log_binom_pmf
+    monkeypatch.setattr(
+        keyrate, "log_binom_pmf", lambda *args: calls.append(args) or real(*args)
+    )
+    for fractions in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0)):
+        point = decoy_rate_untagged(TABLE2_SCHEME, ch, TABLE2_DECOY, w, *fractions)
+        assert point.rate == 0.0
+    assert calls == []
