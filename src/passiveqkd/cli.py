@@ -230,10 +230,11 @@ def validate_scenario_dict(data: dict) -> ValidationReport:
     window = _build(report, "window", ThresholdWindow, blocks.get("window"))
     decoy = None
     if "decoy" in blocks:
-        # trusted-decoy never reads the attenuators: absent ones get an
-        # admissible stand-in so that the constructor checks the rest
+        # trusted-decoy never reads the attenuators: they are given an
+        # admissible stand-in, so that the constructor checks the rest and a
+        # supplied one is an unknown key
         stand_in = {"lambda_s": 1.0, "lambda_d": 0.5} if mode == "trusted-decoy" else {}
-        decoy = _build(report, "decoy", DecoySettings, {**stand_in, **blocks["decoy"]})
+        decoy = _build(report, "decoy", DecoySettings, blocks["decoy"], **stand_in)
     scheme = None
     optimized = "scheme" in blocks and blocks["scheme"].get("lam") == "optimized"
     if "scheme" in blocks and not optimized:

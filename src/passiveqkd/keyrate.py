@@ -201,19 +201,15 @@ def pna_rate_bb84(
 
     Tagged bits (outside the window) are counted as fully insecure; each
     untagged bit is charged the worst multiphoton probability over the
-    window, attained at n = m2 since the per-pulse multiphoton probability
-    is increasing in the photon number (asserted numerically).
+    window, a_n at n = floor(m2): a_n does not decrease in n, as a_{n+1} - a_n
+    = n lam_A^2 (1 - lam_A)^(n-1) >= 0 (see ``worstcase.maximize_ratio``).
     """
     if not 0.0 <= one_minus_delta <= 1.0:
         raise ValueError("one_minus_delta must be in [0, 1]")
     lam_a = scheme.lambda_a
     delta = 1.0 - one_minus_delta
     if w.m2 >= 2 and lam_a < 1.0:
-        multi_hi = coefficient_a(int(math.floor(w.m2)), lam_a)
-        if w.m1 >= 2:
-            multi_lo = coefficient_a(max(2, int(math.ceil(w.m1))), lam_a)
-            assert multi_hi >= multi_lo - 1e-15, "multiphoton term not increasing in n"
-        multi_worst = multi_hi
+        multi_worst = coefficient_a(int(math.floor(w.m2)), lam_a)
     else:
         multi_worst = 0.0 if w.m2 < 2 else 1.0
     point = tagged_rate(scheme.mu * scheme.eta, delta + (1.0 - delta) * multi_worst, ch, f_ec)

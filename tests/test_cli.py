@@ -84,7 +84,7 @@ def test_validate_rejects_decoy_ordering():
     data = {
         "mode": "trusted-decoy",
         "channel": GOOD_TRUSTED["channel"],
-        "decoy": {"nu_s": 0.1, "nu_d": 0.5, "lambda_s": 3.42e-7, "lambda_d": 6.84e-8},
+        "decoy": {"nu_s": 0.1, "nu_d": 0.5},
         "sweep": GOOD_TRUSTED["sweep"],
     }
     report = validate_scenario_dict(data)
@@ -269,6 +269,11 @@ GAUSSIAN_NOISE = {"type": "gaussian", "sigma2": 1e9}
                      id="pna-decoy-lam-optimized"),
         pytest.param(dict(bundled("decoy-trusted"), scheme=GOOD_TRUSTED["scheme"]), [],
                      "scheme", id="trusted-decoy-scheme"),
+        # trusted-decoy never reads the attenuators, valid or not
+        pytest.param(changed(bundled("decoy-trusted"), "decoy", lambda_s=2.0), [],
+                     "decoy.lambda_s", id="trusted-decoy-lambda_s"),
+        pytest.param(changed(bundled("decoy-trusted"), "decoy", lambda_d=6.84e-8), [],
+                     "decoy.lambda_d", id="trusted-decoy-lambda_d"),
         pytest.param(dict(bundled("ideal-apn"), window={"m1": 40.0, "m2": 60.0}), [], "window",
                      id="apn-window"),
         pytest.param(dict(bundled("ideal-apn"), delta_source="pipeline"), [], "delta_source",

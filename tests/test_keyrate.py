@@ -20,6 +20,7 @@ from passiveqkd import (
     bernoulli_transform,
     binary_entropy,
     channel_gain_qber,
+    coefficient_a,
     decoy_rate_trusted,
     decoy_rate_untagged,
     gllp_rate,
@@ -165,6 +166,14 @@ def test_pna_rate_monotone_in_tagged_fraction():
         pna_rate_bb84(scheme, GYS, w, omd).rate for omd in (1.0, 0.999, 0.9, 0.5)
     ]
     assert all(a >= b for a, b in zip(rates, rates[1:]))
+
+
+def test_multiphoton_term_does_not_decrease_in_n():
+    # pna_rate_bb84 charges every untagged bit a_n at n = floor(m2), the
+    # window's worst, as a_{n+1} - a_n = n lam_A^2 (1 - lam_A)^(n-1) >= 0
+    ks = np.unique(np.concatenate([np.arange(2, 3000), np.geomspace(2, 1e12, 2000).astype(int)]))
+    for lam_a in np.geomspace(1e-12, 0.999, 60):
+        assert np.all(np.diff(coefficient_a(ks, float(lam_a))) >= -1e-15)
 
 
 def test_pna_rate_fully_tagged_is_zero():

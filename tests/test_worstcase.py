@@ -1,9 +1,11 @@
-"""Worst-case multiphoton bound: the closed form against full scans and HiGHS.
+"""Worst-case multiphoton bound: the closed form against full scans, HiGHS
+and an exact ``decimal`` evaluation of a_k / k.
 
 The LP oracle, ``worst_case_lp`` in ``conftest.py``, solves the truncated
 mean-constrained LP with ``scipy.optimize.linprog(method="highs")``.
 """
 
+import decimal
 import math
 import os
 import subprocess
@@ -15,7 +17,21 @@ import pytest
 
 import passiveqkd
 from passiveqkd import coefficient_a, maximize_ratio
-from passiveqkd.worstcase import _scan_range
+
+X_STAR = 1.7932821329007610  # the maximizer of g(x) = (1 - e^-x - x e^-x)/x
+EPS = sys.float_info.epsilon
+# maximize_ratio's docstring: its bound lies at most 19.5 eps above mu times
+# the largest computed a_k / k of any k >= k_lo
+MARGIN = 1.0 + 20.0 * EPS
+
+
+def scan_range(eta, k_lo, k_hi):
+    # exhaustive argmax of the computed a_k/k over [k_lo, k_hi], ties to the
+    # smaller k; the k are floats, exact up to 2^53
+    ks = float(k_lo) + np.arange(k_hi - k_lo + 1, dtype=float)
+    ratios = coefficient_a(ks, eta) / ks
+    i = int(np.argmax(ratios))
+    return int(ks[i]), float(ratios[i])
 
 
 def a_reference(k, eta):
@@ -64,15 +80,22 @@ def test_maximize_ratio_zero_mean():
     assert res.p_multi_upper == 0.0
 
 
-def assert_matches_full_scan(eta, mu):
+def assert_covers_scan(eta, mu, ratio):
+    # the bound is the scan's maximum raised by at most the margin, and
+    # k_star is feasible with a computed ratio within that margin of it
+    res = maximize_ratio(eta, mu)
+    assert ratio * mu <= res.p_multi_upper <= ratio * mu * MARGIN
+    assert res.k_star >= max(2, math.ceil(mu))
+    assert ratio <= coefficient_a(res.k_star, eta) / res.k_star * MARGIN
+
+
+def assert_covers_full_scan(eta, mu):
     # oracle: one exhaustive argmax of the computed a_k/k over the feasible
     # k >= k_lo = max(2, ceil(mu)) up to twice the search range's top,
-    # max(k_lo, ceil(20/eta)), first maximum on ties
+    # max(k_lo, ceil(20/eta))
     k_lo = max(2, math.ceil(mu))
-    k, ratio = _scan_range(eta, k_lo, 2 * max(k_lo, math.ceil(20.0 / eta)))
-    res = maximize_ratio(eta, mu)
-    assert res.k_star == k
-    assert res.p_multi_upper == ratio * mu
+    _, ratio = scan_range(eta, k_lo, 2 * max(k_lo, math.ceil(20.0 / eta)))
+    assert_covers_scan(eta, mu, ratio)
 
 
 def crossing_etas(k):
@@ -97,13 +120,13 @@ def test_maximize_ratio_matches_full_scan_on_random_cases():
         mu = float(rng.uniform(0.0, 0.5 / eta if rng.random() < 0.8 else 3.0 / eta))
         if rng.random() < 0.5:
             rng.uniform(0.5, 3.0)  # unused: keeps the cases drawn when half had a search cap
-        assert_matches_full_scan(eta, mu)
+        assert_covers_full_scan(eta, mu)
 
 
 def test_maximize_ratio_matches_full_scan_at_ties():
     for k in (8, 21, 40, 150, 1200, 2500, 10000):
         for eta in crossing_etas(k):
-            assert_matches_full_scan(eta, 1.0)
+            assert_covers_full_scan(eta, 1.0)
 
 
 def test_maximize_ratio_matches_full_scan_at_and_past_the_maximizer():
@@ -112,10 +135,10 @@ def test_maximize_ratio_matches_full_scan_at_and_past_the_maximizer():
     for eta in (0.3, 0.05, 3e-3, 2e-4):
         k_star = maximize_ratio(eta, 1.0).k_star
         for mu in (k_star - 1.0, float(k_star), k_star + 0.5, k_star + 2.0):
-            assert_matches_full_scan(eta, mu)
+            assert_covers_full_scan(eta, mu)
     for eta, mu in ((0.5, 100.0), (0.1, 250.0), (1e-3, 2e4), (0.3, 1e3), (1e-4, 5e5)):
         assert mu * eta >= 20.0
-        assert_matches_full_scan(eta, mu)
+        assert_covers_full_scan(eta, mu)
         assert maximize_ratio(eta, mu).k_star == math.ceil(mu)
     # past int64 and up to the largest float, k_lo is still the answer
     for mu in (1e20, 1e300, 1.7e308):
@@ -125,12 +148,11 @@ def test_maximize_ratio_matches_full_scan_at_and_past_the_maximizer():
 def test_maximize_ratio_matches_scan_on_wide_flat_tops():
     # at k* ~ 1.8/eta (2e7 to 6e8 here) the computed a_k/k is flat to rounding
     # over up to a hundred k; 2e5 steps away the exact ratio is at least 4e-8
-    # below its maximum, so a scan of that window finds the first computed one
+    # below its maximum, so a scan of that window finds the computed maximum
     for eta in (1e-7, 3.3e-8, 1.2e-8, 2.9e-9):
-        res = maximize_ratio(eta, 0.1 / eta)
-        k0 = round(1.7932821329007610 / -math.log1p(-eta))
-        k, ratio = _scan_range(eta, k0 - 200_000, k0 + 200_000)
-        assert (res.k_star, res.p_multi_upper) == (k, ratio * (0.1 / eta))
+        k0 = round(X_STAR / -math.log1p(-eta))
+        _, ratio = scan_range(eta, k0 - 200_000, k0 + 200_000)
+        assert_covers_scan(eta, 0.1 / eta, ratio)
 
 
 def test_maximize_ratio_far_beyond_a_full_scan():
@@ -139,23 +161,17 @@ def test_maximize_ratio_far_beyond_a_full_scan():
     eta, mu = 1e-12, 1e11
     res = maximize_ratio(eta, mu)
     ell = -math.log1p(-eta)
-    x_star = 1.7932821329007610
-    k0 = round(x_star / ell)
-    g_star = (-math.expm1(-x_star) - x_star * math.exp(-x_star)) / x_star
+    k0 = round(X_STAR / ell)
+    g_star = (-math.expm1(-X_STAR) - X_STAR * math.exp(-X_STAR)) / X_STAR
     assert mu * coefficient_a(k0, eta) / k0 <= res.p_multi_upper <= mu * ell * g_star
-    # the first computed maximum lies within the docstring's 4.8 sqrt(eps) k
-    assert abs(res.k_star - k0) <= 5.0 * math.sqrt(np.finfo(float).eps) * k0
-
-
-X_STAR = 1.7932821329007610  # the maximizer of g(x) = (1 - e^-x - x e^-x)/x
-EPS = sys.float_info.epsilon
+    assert abs(res.k_star - k0) <= 5.0 * math.sqrt(EPS) * k0
 
 
 @pytest.mark.parametrize("eta", [1e-14, 1e-19, 1e-300])
 def test_maximize_ratio_returns_between_the_sandwich_sides_at_tiny_eta(eta):
-    # k* ~ 1.8/eta passes the 2^18 scan cap, 2^63 and (at 1e-300) any
-    # integer range: the bound lies between mu a(k0)/k0 and mu ell g(x*),
-    # which it may pass by the 9 eps that the cut scan adds, and rounding
+    # k* ~ 1.8/eta passes 2^63 and (at 1e-300) any integer range: the bound
+    # lies between mu a(k0)/k0 and mu ell g(x*), which it may pass by the 9 eps
+    # margin and rounding
     mu = 0.1 / eta
     res = maximize_ratio(eta, mu)
     ell = -math.log1p(-eta)
@@ -177,33 +193,62 @@ def test_maximize_ratio_below_the_eta_floor_is_still_an_upper_bound():
 
 
 def test_maximize_ratio_cut_scan_covers_the_full_scans_maximum():
-    # at eta = 2e-13 the flat top's full scan (k0 -+ 6.7e5) passes the 2^18 cap;
-    # the cut scan's bound is the full scan's first maximum, raised by at most
-    # the 9 eps margin and rounding
-    eta, mu = 2e-13, 0.1 / 2e-13
-    res = maximize_ratio(eta, mu)
+    # at eta = 2e-13 the flat top's full scan spans k0 -+ 6.7e5
+    eta = 2e-13
     k0 = round(X_STAR / -math.log1p(-eta))
     half = 10 + int(5.0 * math.sqrt(EPS) * k0)
     assert half > 1 << 18
-    _, ratio = _scan_range(eta, k0 - half, k0 + half)
-    assert ratio * mu <= res.p_multi_upper <= ratio * mu * (1.0 + 10.0 * EPS)
+    _, ratio = scan_range(eta, k0 - half, k0 + half)
+    assert_covers_scan(eta, 0.1 / eta, ratio)
+
+
+def exact_max_ratio(eta, k_lo, k_hat):
+    # the exact a_k / k, to 60 digits, maximized over k >= k_lo within
+    # k_hat -+ (3 + 6 sqrt(eps) k_hat); the maximum must lie inside the window
+    h = 3 + int(6.0 * math.sqrt(EPS) * k_hat)
+    k0, k1 = max(k_lo, k_hat - h), k_hat + h
+    e = decimal.Decimal(eta)
+    q = 1 - e
+    q_km1 = q ** (k0 - 1)
+    ratios = []
+    for k in range(k0, k1 + 1):
+        ratios.append((1 - q_km1 * q - k * e * q_km1) / k)
+        q_km1 *= q
+    i = max(range(len(ratios)), key=ratios.__getitem__)
+    assert 0 < i < len(ratios) - 1 or (i == 0 and k0 == k_lo)
+    return ratios[i]
+
+
+def test_maximize_ratio_is_at_or_above_the_exact_maximum():
+    rng = np.random.default_rng(2026)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for _ in range(2000):
+            eta = float(np.exp(rng.uniform(np.log(1e-7), np.log(0.9))))
+            mu = float(rng.uniform(0.0, 3.0 / eta))
+            res = maximize_ratio(eta, mu)
+            exact = exact_max_ratio(eta, max(2, math.ceil(mu)), res.k_star)
+            assert decimal.Decimal(res.p_multi_upper) >= decimal.Decimal(mu) * exact, (eta, mu)
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
 def test_maximize_ratio_memory_is_bounded_at_tiny_eta():
-    # the uncut flat-top scan at eta = 1e-14 held 2.7e7 ratios, 1.25 GB.  The
-    # child's peak RSS is its VmHWM: its ru_maxrss would carry over the
-    # high-water mark of the test process it was forked from.
+    # the call may raise the child's peak RSS, its VmHWM, by little over its
+    # peak after import (a numpy scan of k0 -+ 2^18 ratios added 21 MB).  Its
+    # ru_maxrss would carry over the high-water mark of the test process it
+    # was forked from.
     env = dict(os.environ, PYTHONPATH=str(Path(passiveqkd.__file__).parents[1]))
     code = (
-        "from passiveqkd import maximize_ratio; maximize_ratio(1e-14, 1e13); "
-        "print(*[l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM')])"
+        "from passiveqkd import maximize_ratio\n"
+        "def hwm(): return [int(l.split()[1]) for l in open('/proc/self/status')"
+        " if l.startswith('VmHWM')][0]\n"
+        "before = hwm(); maximize_ratio(1e-14, 1e13); print(hwm() - before)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 200 * 1024  # kB
+    assert int(proc.stdout) < 4 * 1024  # kB
 
 
 def test_maximize_ratio_scales_linearly_in_mu():
