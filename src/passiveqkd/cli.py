@@ -318,21 +318,6 @@ _TOP_KEYS = {*_EVERY_MODE, *_PIPELINE_REQUIRES, *_PIPELINE_READS,
              *(key for requires, reads, _ in MODES.values() for key in requires + reads)}
 
 
-def _untagged_fraction(s):
-    """Resolve (window, one_minus_delta, pipeline_degenerate_flag).
-
-    'exact' uses the analytic Poissonian windowed mass; 'pipeline' runs the
-    Monte Carlo monitoring experiment and its confidence/noise bound chain.
-    The monitor branch sees xi = t_B * t_D independent of the attenuator, so
-    one value covers every distance and both decoy intensities.
-    """
-    if s.config is not None:
-        result = run_pipeline(s.config, s.alpha)
-        return result.effective_window, result.untagged_lower, result.degenerate
-    w = s.window
-    return w, float(poisson_window_mass(w.m1, w.m2, s.scheme.mu * s.scheme.xi)), False
-
-
 def _format_row(L, rate, Q, E, delta_bar, untagged) -> str:
     def fmt(x):
         return "" if x is None else f"{x:.10g}"
@@ -341,29 +326,47 @@ def _format_row(L, rate, Q, E, delta_bar, untagged) -> str:
 
 
 def _run(s):
-    """(rows, summary, degenerate) of a parsed scenario."""
+    """(rows, summary, degenerate) of a parsed scenario.
+
+    Where an untagged fraction is needed, 'exact' takes the analytic
+    Poissonian mass of the fixed window, and 'pipeline' runs the Monte Carlo
+    monitoring experiment and its confidence/noise bound chain, which also
+    sets the window; with noise the summary ends with the monitor's R_SN.
+    The monitor sees xi = t_B * t_D independent of the attenuator, so one
+    value covers every distance and both decoy intensities.
+    """
     window, untagged, degenerate = s.window, None, False
-    if s.delta_source is not None:
-        window, untagged, degenerate = _untagged_fraction(s)
+    if s.delta_source is not None:  # every mode that reads one has a scheme
+        mean_m = s.scheme.mu * s.scheme.xi
+    if s.config is not None:
+        result = run_pipeline(s.config, s.alpha)
+        window, untagged, degenerate = (
+            result.effective_window, result.untagged_lower, result.degenerate)
+    elif s.delta_source is not None:
+        untagged = float(poisson_window_mass(window.m1, window.m2, mean_m))
     mode_rate = MODES[s.mode][2]
     if mode_rate is None:
         rows = [_format_row(None, None, None, None, None, untagged)]
-        where = f"[{window.m1:g}, {window.m2:g}]"
-        return rows, {"untagged_lower": untagged, "window": where}, degenerate
-    # with lam fixed the scheme, and so the rate's multiphoton bound, serves
-    # every distance; an optimized lam gives a new scheme at each distance
-    rate = None if s.optimized else mode_rate(s, s.scheme, window, untagged)
-    rows, max_secure = [], None
-    for L in s.points:
-        ch = s.channel.at_distance(L)
-        if s.optimized:
-            scheme = replace(s.scheme, lam=_optimized_lam(s.scheme.mu, s.scheme.t_B, ch))
-            rate = mode_rate(s, scheme, window, untagged)
-        p = rate(ch)
-        rows.append(_format_row(L, p.rate, p.Q, p.E, p.delta_bar, untagged))
-        if p.rate > 0.0:
-            max_secure = L
-    summary = {"max_secure_distance_km": max_secure if max_secure is not None else "none"}
+        summary = {"untagged_lower": untagged, "window": f"[{window.m1:g}, {window.m2:g}]"}
+    else:
+        rows, max_secure, rate, scheme = [], None, None, s.scheme
+        for L in s.points:
+            ch = s.channel.at_distance(L)
+            # with lam fixed the scheme, and so the rate's multiphoton bound,
+            # serves every distance; an optimized lam gives a new scheme at each
+            if s.optimized:
+                scheme = replace(scheme, lam=_optimized_lam(scheme.mu, scheme.t_B, ch))
+            if rate is None or s.optimized:
+                rate = mode_rate(s, scheme, window, untagged)
+            p = rate(ch)
+            rows.append(_format_row(L, p.rate, p.Q, p.E, p.delta_bar, untagged))
+            if p.rate > 0.0:
+                max_secure = L
+        summary = {"max_secure_distance_km": max_secure if max_secure is not None else "none"}
+    if isinstance(s.noise, PoissonNoise):  # a noise model only where the pipeline ran
+        summary["R_SN_p"] = mean_m / s.noise.gamma
+    elif s.noise is not None:
+        summary["R_SN_g"] = mean_m / s.noise.sigma2
     return rows, summary, degenerate
 
 
@@ -398,13 +401,6 @@ def run_scenario(
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-
-    if s.noise is not None:  # only where the pipeline ran, with a scheme
-        mean_m = s.scheme.mu * s.scheme.xi
-        if isinstance(s.noise, PoissonNoise):
-            summary["R_SN_p"] = mean_m / s.noise.gamma
-        else:
-            summary["R_SN_g"] = mean_m / s.noise.sigma2
 
     lines = [
         f"# passiveqkd {__version__}",

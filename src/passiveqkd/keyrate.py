@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .noise_bounds import ThresholdWindow
-from .photon_stats import PassiveSchemeParams, log_binom_pmf
+from .photon_stats import PassiveSchemeParams
 from .worstcase import coefficient_a, maximize_ratio
 
 __all__ = [
@@ -218,8 +218,13 @@ def pna_rate_bb84(
 
 
 def _binom_pmf_range(n: int, lam: float, m1: float, m2: float) -> tuple[float, float]:
-    """Min and max over m in [m1, m2] of the Binomial(m, lam) pmf at n.
+    """Min and max over m in [m1, m2] of the Binomial(m, lam) pmf at n = 0 or 1.
 
+    The pmf is its closed form (m lam)^n (1 - lam)^(m - n), as C(m, n) = m^n
+    for n <= 1: p(0) = exp(m log1p(-lam)) and p(1) = m lam exp((m - 1)
+    log1p(-lam)).  Rounding log1p and the product costs |x| eps on the
+    exponent x = (m - n) log1p(-lam), so each value errs by about (2 + |x|)
+    eps relative.
     As a function of m the pmf rises while m < n / lam - 1 and falls after,
     so the extremes sit at the endpoints and (for the max) at the mode.
     Where n / lam passes m2 + 2 (or is inf, at a subnormal lam) the mode's
@@ -231,7 +236,8 @@ def _binom_pmf_range(n: int, lam: float, m1: float, m2: float) -> tuple[float, f
         for mm in (m_star - 1, m_star, m_star + 1):
             if m1 <= mm <= m2:
                 candidates.append(float(mm))
-    vals = [math.exp(log_binom_pmf(n, m, lam)) for m in candidates]
+    log_q = math.log1p(-lam)
+    vals = [(m * lam) ** n * math.exp((m - n) * log_q) for m in candidates]
     return min(vals[:2]), max(vals)
 
 

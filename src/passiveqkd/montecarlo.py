@@ -254,7 +254,8 @@ class _GaussianReadings:
                 lo = x
             else:
                 hi = x
-            density = _weighted_sum(np.exp(-0.5 * z * z), self.weights) / (sigma * _SQRT_2PI)
+            with np.errstate(over="ignore"):  # a z^2 past the float range has exp(-inf) = 0
+                density = _weighted_sum(np.exp(-0.5 * z * z), self.weights) / (sigma * _SQRT_2PI)
             step = (log_p - math.log(mass)) * mass / density if mass * density > 0.0 else math.nan
             if abs(step) <= tol:
                 return x + step

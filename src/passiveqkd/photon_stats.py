@@ -159,21 +159,6 @@ def poisson_pnd(mu: float) -> PhotonNumberDistribution:
     )
 
 
-def log_binom_pmf(k, n, p: float):
-    """log of the Binomial(n, p) pmf at k, elementwise; ``n`` may be real.
-
-    log C(n, k) + k log p + (n - k) log(1 - p), with C(n, k) through
-    log-gamma.
-    """
-    return (
-        special.gammaln(n + 1)
-        - special.gammaln(k + 1)
-        - special.gammaln(n - k + 1)
-        + k * math.log(p)
-        + (n - k) * math.log1p(-p)
-    )
-
-
 def bernoulli_transform(
     p: PhotonNumberDistribution, t: float
 ) -> PhotonNumberDistribution:

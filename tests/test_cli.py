@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -447,6 +448,23 @@ def test_worst_case_bound_is_computed_once_per_scheme(monkeypatch, name, per_dis
     assert run_scenario(name, stream=io.StringIO()) == EXIT_OK
     points = validate_scenario_dict(bundled(name)).scenario.points
     assert len(calls) == (len(points) if per_distance else 1)
+
+
+def test_gaussian_pipeline_at_tiny_sigma2_warns_nothing(tmp_path):
+    # at sigma2 = 1e-300 the quantile solver's z^2 passes the float range, and
+    # exp(-inf) = 0 is the density it needs: no warning, and the table of
+    # sigma2 = 1e-30 apart from the scenario line and R_SN_g
+    data, tables = bundled("mc-pipeline-demo"), {}
+    for sigma2 in (1e-300, 1e-30):
+        data["noise"]["sigma2"] = sigma2
+        out = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_scenario(write_scenario(tmp_path, data), stream=out) == EXIT_OK
+        tables[sigma2] = [line for line in out.getvalue().splitlines()
+                          if not line.startswith(("# scenario:", "# R_SN_g:"))]
+    assert tables[1e-300] == tables[1e-30]
+    assert "# window: [9.98497e+06, 1.00146e+07]" in tables[1e-30]
 
 
 @pytest.mark.parametrize("m1", [0, -5])

@@ -1,5 +1,6 @@
 """Key-rate assemblies: GLLP, photon-number analyses, decoy estimation."""
 
+import decimal
 import math
 from dataclasses import replace
 
@@ -379,6 +380,47 @@ def _clear_decoy_caches():
     keyrate._untagged_decoy_terms.cache_clear()
 
 
+def exact_binom_pmfs(lam, m):
+    # p(0) = (1 - lam)^m and p(1) = m lam (1 - lam)^(m - 1), to 60 digits
+    lam = decimal.Decimal(lam)
+    p0 = (decimal.Decimal(m) * (1 - lam).ln()).exp()
+    return p0, decimal.Decimal(m) * lam * p0 / (1 - lam)
+
+
+def test_binom_pmf_range_matches_the_exact_pmfs_and_covers_every_integer():
+    # windows of m up to 1e8 with 1/lam inside or outside, their edges real or
+    # integer.  Rounding the exponent x = (m - n) log1p(-lam) costs |x| eps,
+    # so each end must agree with the exact closed form at the same candidates
+    # within (4 + |x|) eps, and [lo, hi] must hold the pmf's extremes over the
+    # integers in [m1, m2] within as much.  The pmf in m rises while m < 1/lam
+    # - 1 and falls after, so over the integers it is least at an end and
+    # greatest at an end or at floor(1/lam).
+    rng = np.random.default_rng(2501)
+    eps = np.finfo(float).eps
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for case in range(1000):
+            lam = float(np.exp(rng.uniform(np.log(1e-9), np.log(0.5))))
+            top = np.log(min(30.0 / lam, 1e8))
+            m1, m2 = np.sort(np.exp(rng.uniform(np.log(1e-3 / lam), top, 2)))
+            m1, m2 = (math.floor(m1), math.ceil(m2)) if case % 2 else (float(m1), float(m2))
+            inv = 1 / decimal.Decimal(lam)
+            mode = [k for k in range(int(inv) - 2, int(inv) + 3) if m1 <= k <= m2]
+            ints = [k for k in (math.ceil(m1), math.floor(m2)) if m1 <= k <= m2] + mode
+            tol = (4.0 + max(m2, 1.0) * -math.log1p(-lam)) * eps
+            at = {m: exact_binom_pmfs(lam, m) for m in (m1, m2, *ints)}
+            for n in (0, 1):
+                lo, hi = keyrate._binom_pmf_range(n, lam, m1, m2)
+                exact_lo = min(at[m1][n], at[m2][n])
+                exact_hi = max(at[m][n] for m in (m1, m2, *(mode if n else ())))
+                for got, exact in ((lo, exact_lo), (hi, exact_hi)):
+                    assert abs(decimal.Decimal(got) - exact) <= decimal.Decimal(tol) * exact, (
+                        n, lam, m1, m2)
+                if ints:
+                    assert lo <= float(min(at[k][n] for k in ints)) * (1.0 + tol)
+                    assert hi >= float(max(at[k][n] for k in ints)) * (1.0 - tol)
+
+
 def test_decoy_rate_untagged_rejects_lambda_a_above_one_on_every_call():
     # t_B t_D / (1 - t_B) = 0.05 / 0.9, so lambda_s = 0.5 gives lambda_A = 9;
     # the memoized terms must not turn a second call into a silent result
@@ -393,13 +435,12 @@ def test_decoy_rate_untagged_rejects_lambda_a_above_one_on_every_call():
 def test_decoy_rate_untagged_cache_entries_do_not_cross(monkeypatch):
     # interleaved calls over two schemes and two windows, with warm caches,
     # give exactly the points of each curve computed from cleared caches;
-    # a curve evaluates its four brackets once: at most 2 + 5 pmfs per
-    # intensity, two endpoints for p(0) and two endpoints and three mode
-    # candidates for p(1)
+    # a curve evaluates its four brackets once: p(0) and p(1) for each of
+    # the two intensities
     calls = []
-    real = keyrate.log_binom_pmf
+    real = keyrate._binom_pmf_range
     monkeypatch.setattr(
-        keyrate, "log_binom_pmf", lambda *args: calls.append(args) or real(*args)
+        keyrate, "_binom_pmf_range", lambda *args: calls.append(args) or real(*args)
     )
     schemes = (TABLE2_SCHEME, replace(TABLE2_SCHEME, t_D=0.7))
     mean_m = TABLE2_SCHEME.mu * TABLE2_SCHEME.xi
@@ -417,14 +458,14 @@ def test_decoy_rate_untagged_cache_entries_do_not_cross(monkeypatch):
         fresh[combo] = [
             decoy_rate_untagged(scheme, ch, TABLE2_DECOY, w, 0.999999, 0.999998) for ch in chs
         ]
-        assert 0 < len(calls) <= 14
+        assert len(calls) == 4
     _clear_decoy_caches()
     calls.clear()
     for i, ch in enumerate(chs):
         for scheme, w in combos:
             point = decoy_rate_untagged(scheme, ch, TABLE2_DECOY, w, 0.999999, 0.999998)
             assert point == fresh[scheme, w][i]
-    assert len(calls) <= 14 * len(combos)
+    assert len(calls) <= 4 * len(combos)
     # the four curves differ, so an entry served to the wrong key would show
     curves = [tuple(p.rate for p in fresh[combo]) for combo in combos]
     assert len(set(curves)) == len(combos)
@@ -433,16 +474,16 @@ def test_decoy_rate_untagged_cache_entries_do_not_cross(monkeypatch):
 
 def test_decoy_rate_untagged_fully_tagged_point_evaluates_no_pmf(monkeypatch):
     # the brackets are computed when a curve's cache entry is filled; past
-    # that, a fully tagged point evaluates no pmf, and either intensity
+    # that, a fully tagged point evaluates no bracket, and either intensity
     # fully tagged gives rate 0
     _clear_decoy_caches()
     w = ThresholdWindow(9.8e6, 1.02e7)
     ch = GYS.at_distance(50.0)
     assert decoy_rate_untagged(TABLE2_SCHEME, ch, TABLE2_DECOY, w, 1.0, 1.0).rate > 0.0
     calls = []
-    real = keyrate.log_binom_pmf
+    real = keyrate._binom_pmf_range
     monkeypatch.setattr(
-        keyrate, "log_binom_pmf", lambda *args: calls.append(args) or real(*args)
+        keyrate, "_binom_pmf_range", lambda *args: calls.append(args) or real(*args)
     )
     for fractions in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0)):
         point = decoy_rate_untagged(TABLE2_SCHEME, ch, TABLE2_DECOY, w, *fractions)
