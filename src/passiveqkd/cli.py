@@ -455,11 +455,7 @@ def main(argv=None) -> int:
                 print(name)
             status = EXIT_OK
         elif args.command == "validate":
-            try:
-                report = validate_scenario_dict(load_scenario(args.scenario))
-            except ScenarioError as exc:
-                print(f"I/O error: {exc}", file=sys.stderr)
-                return EXIT_IO
+            report = validate_scenario_dict(load_scenario(args.scenario))
             print(report.to_json())
             status = EXIT_OK if report.ok else EXIT_VALIDATION
         else:
@@ -470,6 +466,9 @@ def main(argv=None) -> int:
                 alpha=args.alpha,
             )
         sys.stdout.flush()
+    except ScenarioError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except BrokenPipeError:
         # reader gone (`... | head`): end quietly; stdout on devnull keeps the exit flush quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -22,11 +22,15 @@ monitor reading m' enters, and the run never simulates the pulses:
 * *Monotone inverse.*  F^-1 is non-decreasing, so the extremes of the m'_i
   are the images of the extremes of the U_i: min m' = F^-1(A) and max m' =
   S^-1(B), with S = 1 - F the upper tail.  This holds on a discrete support
-  too, ties included.  Integer readings are searched on ``pdtr`` and
-  ``pdtrc`` (their mixtures for an explicit source, whose upper tails are
-  summed as tails, never as 1 - F); Gaussian ones solve
-  sum_j w_j Phi((x - j)/sigma) = A (or its upper-tail twin = B) by a
-  safeguarded Newton step on the log tail.
+  too, ties included.  Both searches start from Cantelli's bracket: a
+  reading of mean mu and standard deviation s has P(m' - mu <= -t) <=
+  s^2/(s^2 + t^2), and the same above, so its A-quantile lies in (mu -
+  2 s/sqrt(A) - 1, mu + 2 s sqrt(A/(1 - A)) + 1] at any mean (B's is the
+  mirror image).  Integer readings bisect it on ``pdtr`` and ``pdtrc``
+  (their mixtures for an explicit source, whose upper tails are summed as
+  tails, never as 1 - F); Gaussian ones solve sum_j w_j Phi((x - j)/sigma)
+  = A (or its upper-tail twin = B) by a Newton step on the log tail that
+  falls back to bisecting it.
 * *Conditional uniformity.*  Given A and B, the other M - 2 uniforms are iid
   on (A, 1 - B), and m' lies in the window [m1, m2] exactly when U lies in
   (F(m1-), F(m2)].  So k' is the two extremes' own indicators plus
@@ -40,7 +44,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -139,19 +142,33 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed << 64))
 
 
-def _least(pred, start: float) -> int:
-    """Smallest integer k >= 0 with pred(k), for pred false then true in k.
+def _bracket(mean: float, sd: float, p: float) -> tuple[float, float]:
+    """Finite (lo, hi) with P(X <= lo) < p < P(X < hi) for every X of this
+    mean and standard deviation and every p in (0, 1).
 
-    Gallops from ``start`` (any guess, NaN included) to a bracket, then
-    bisects it.
+    Cantelli's one-sided inequality bounds each tail at distance t from the
+    mean by sd^2 / (sd^2 + t^2).  So the mass at or below lo, t = 2 sd/sqrt(p)
+    + 1 under the mean, is under p/4, and the mass at or above hi, t = 2 sd
+    sqrt(p/(1 - p)) + 1 over it, under (1 - p)/(1 + 3p): the factor 2 leaves
+    room for rounding and the 1 covers sd = 0.  A p of 0 or 1 is taken as
+    the nearest float inside (0, 1), so the ends stay finite.  The bound is
+    symmetric, so the upper tail mass b has the mirror bracket: negate
+    ``_bracket(-mean, sd, b)`` and swap its ends.
     """
-    hi = max(0, math.ceil(start)) if math.isfinite(start) else 0
-    lo, step = hi - 1, 1
-    while not pred(hi):
-        lo, hi, step = hi, hi + step, 2 * step
-    while lo >= 0 and pred(lo):
-        hi, lo, step = lo, max(-1, lo - step), 2 * step
-    return lo + 1 + bisect_left(range(lo + 1, hi), True, key=pred)
+    p = min(max(p, math.ulp(0.0)), 1.0 - 2.0**-53)
+    return mean - 2.0 * sd / math.sqrt(p) - 1.0, mean + 2.0 * sd * math.sqrt(p / (1.0 - p)) + 1.0
+
+
+def _least(pred, lo: float, hi: float) -> int:
+    """Smallest integer k >= 0 with pred(k), for pred false then true in k,
+    false at every k <= ``lo`` and true at ``hi``: bisection on Python ints,
+    which hold any float's integer part.
+    """
+    lo, hi = max(-1, math.floor(lo)), max(0, math.ceil(hi))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if pred(mid) else (mid, hi)
+    return hi
 
 
 def _weighted_sum(values: np.ndarray, weights: np.ndarray) -> float:
@@ -173,6 +190,10 @@ class _MixtureReadings:
     cumulative sum.  With gamma = 0 (no dark counts) pdtr(k, 0) = 1 and
     pdtrc(k, 0) = 0, so these are the pmf's own CDF and upper tail; with
     the single weight w_0 = 1 they are Poisson(gamma)'s.
+
+    ``mean`` and ``var`` must be the weights' true mean and variance: the
+    quantile searches bracket m' by Cantelli's inequality at mean + gamma
+    and var + gamma, so a wrong moment can leave the answer outside.
     """
 
     def __init__(self, weights: np.ndarray, gamma: float, mean: float, var: float):
@@ -182,37 +203,36 @@ class _MixtureReadings:
         self.total = float(weights.sum())  # what the CDF sums to once every pdtr is 1
         self.mean, self.sd = mean + gamma, math.sqrt(var + gamma)
 
-    def _cdf(self, k: int) -> float:
+    def below(self, x: float) -> float:  # P(m' < x) = P(m' <= k)
+        k = math.ceil(x) - 1
         if k < 0:
             return 0.0
         n = min(k + 1, self.weights.size)
         return _weighted_sum(special.pdtr(k - self.counts[:n], self.gamma), self.weights[:n])
 
-    def _sf(self, k: int) -> float:
+    def above(self, x: float) -> float:  # P(m' > x) = P(m' > k)
+        k = math.floor(x)
         if k < 0:
             return self.total
         n = min(k + 1, self.weights.size)
         head = _weighted_sum(special.pdtrc(k - self.counts[:n], self.gamma), self.weights[:n])
         return head + (float(self.beyond[k]) if k < self.weights.size else 0.0)
 
-    def below(self, x: float) -> float:  # P(m' < x)
-        return self._cdf(math.ceil(x) - 1)
-
-    def above(self, x: float) -> float:  # P(m' > x)
-        return self._sf(math.floor(x))
-
     def lower_quantile(self, a: float) -> float:  # inf{m : P(m' <= m) >= a}
         a = min(a, self.total)
-        guess = self.mean + self.sd * float(special.ndtri(a))
-        return float(_least(lambda k: self._cdf(k) >= a, guess))
+        return float(_least(lambda k: self.below(k + 1) >= a, *_bracket(self.mean, self.sd, a)))
 
     def upper_quantile(self, b: float) -> float:  # inf{m : P(m' > m) <= b}
-        guess = self.mean - self.sd * float(special.ndtri(b))
-        return float(_least(lambda k: self._sf(k) <= b, guess))
+        lo, hi = _bracket(-self.mean, self.sd, b)
+        return float(_least(lambda k: self.above(k) <= b, -hi, -lo))
 
 
 class _GaussianReadings:
-    """m' = m + N(0, sigma^2), m = ``counts`` with probabilities ``weights``."""
+    """m' = m + N(0, sigma^2), m = ``counts`` with probabilities ``weights``.
+
+    ``mean`` and ``var`` must be m's true mean and variance: the solver
+    brackets m' by Cantelli's inequality at mean and var + sigma^2.
+    """
 
     def __init__(self, counts: np.ndarray, weights: np.ndarray, mean: float, var: float,
                  sigma2: float):
@@ -235,18 +255,18 @@ class _GaussianReadings:
     def _solve(self, p: float, centers: np.ndarray, mean: float) -> float:
         """x with sum_i w_i Phi((x - c_i)/sigma) = p: Newton on the log mass.
 
-        Each step keeps a bracket [lo, hi] around the root; a Newton step
-        that leaves it is replaced by doubling out of an open bracket or by
-        bisecting a closed one.  The log mass is near-concave (the mixture
-        of a log-concave pmf with a Gaussian), so from the normal
-        approximation Newton needs a few steps.
+        Each step narrows a bracket [lo, hi] around the root, which starts
+        as ``_bracket``'s; a Newton step that leaves it is replaced by
+        bisecting it.  The log mass is near-concave (the mixture of a
+        log-concave pmf with a Gaussian), so from the normal approximation
+        Newton needs a few steps.
         """
         if p <= 0.0:
             return -math.inf
         log_p, sigma = math.log(p), self.sigma
         x = mean + self.scale * float(special.ndtri(p))
         tol = 4.0 * np.finfo(float).eps * (abs(x) + self.scale)
-        lo, hi, reach = -math.inf, math.inf, self.scale
+        lo, hi = _bracket(mean, self.scale, p)
         for _ in range(200):
             z = (x - centers) / sigma
             mass = _weighted_sum(special.ndtr(z), self.weights)
@@ -261,12 +281,9 @@ class _GaussianReadings:
                 return x + step
             x += step
             if not lo < x < hi:
-                if math.isinf(lo) or math.isinf(hi):
-                    x, reach = (lo + reach if math.isinf(hi) else hi - reach), 2.0 * reach
-                else:
-                    x = 0.5 * (lo + hi)
-                    if hi - lo <= tol:
-                        return x
+                x = 0.5 * (lo + hi)
+                if hi - lo <= tol:
+                    return x
         return x
 
 
@@ -313,45 +330,36 @@ def _readings(config: RunConfig):
     return _MixtureReadings(w, gamma, mean, var)
 
 
-def _exact_run(config: RunConfig) -> tuple[int, float, float]:
-    """(k', min, max) of a run, from its order statistics."""
-    readings = _readings(config)
-    rng = _rng(config.seed)
-    M, w = config.M, config.window
-    log_v1, log_v2 = np.log1p(-rng.random(2))  # ln V for V uniform on (0, 1]
-    a = -math.expm1(log_v1 / M)
-    lo = readings.lower_quantile(a)
-    if M == 1:  # RunConfig gives auto-minmax at least two readings
-        return int(w.m1 <= lo <= w.m2), lo, lo
-    b = (1.0 - a) * -math.expm1(log_v2 / (M - 1))
-    hi = readings.upper_quantile(b)
-    if w is None:
-        return M, lo, hi
-    k = int(w.m1 <= lo <= w.m2) + int(w.m1 <= hi <= w.m2)
-    if M > 2:
-        inner = 1.0 - a - b
-        hit = inner - max(0.0, readings.below(w.m1) - a) - max(0.0, readings.above(w.m2) - b)
-        k += int(rng.binomial(M - 2, min(1.0, max(0.0, hit / inner))))
-    return k, lo, hi
-
-
 def run(config: RunConfig, threads: int = 1) -> RunResult:
     """Simulate M pulses; deterministic for a given (config, seed).
 
-    With ``window=None`` the observed min and max become the thresholds, so
+    (k', min, max) come from the order statistics of the readings.  With
+    ``window=None`` the observed min and max become the thresholds, so
     every trial is in-window by construction (k' = M); a run whose readings
     all tie makes no window and raises ValueError naming the value.  Every
     run is one exact draw, so ``threads`` has no effect; it stays for the
     callers that pass it.
     """
-    k, lo, hi = _exact_run(config)
-    window = config.window
-    if window is None:
+    readings, rng = _readings(config), _rng(config.seed)
+    M, w = config.M, config.window
+    log_v1, log_v2 = np.log1p(-rng.random(2))  # ln V for V uniform on (0, 1]
+    a = -math.expm1(log_v1 / M)
+    lo = readings.lower_quantile(a)
+    if M == 1:  # RunConfig gives auto-minmax at least two readings
+        return RunResult(int(w.m1 <= lo <= w.m2), lo, lo, w)
+    b = (1.0 - a) * -math.expm1(log_v2 / (M - 1))
+    hi = readings.upper_quantile(b)
+    if w is None:
         if not lo < hi:
-            raise ValueError(f"all {config.M} readings are {lo:g}: an auto-minmax window "
+            raise ValueError(f"all {M} readings are {lo:g}: an auto-minmax window "
                              "needs two distinct readings")
-        window = ThresholdWindow(lo, hi)
-    return RunResult(k_prime=k, observed_min=lo, observed_max=hi, effective_window=window)
+        return RunResult(M, lo, hi, ThresholdWindow(lo, hi))
+    k = int(w.m1 <= lo <= w.m2) + int(w.m1 <= hi <= w.m2)
+    if M > 2:
+        inner = 1.0 - a - b
+        hit = inner - max(0.0, readings.below(w.m1) - a) - max(0.0, readings.above(w.m2) - b)
+        k += int(rng.binomial(M - 2, min(1.0, max(0.0, hit / inner))))
+    return RunResult(k, lo, hi, w)
 
 
 def run_pipeline(config: RunConfig, alpha: float, threads: int = 1) -> PipelineResult:

@@ -348,6 +348,20 @@ def test_auto_minmax_run_whose_readings_all_tie_exits_3_naming_the_value(tmp_pat
         "error: all 5 readings are 0: an auto-minmax window needs two distinct readings\n")
 
 
+@pytest.mark.parametrize("section, key", [("noise", "gamma"), ("scheme", "mu")])
+def test_poisson_noise_run_at_mean_1e300_exits_3_naming_the_tied_reading(
+        tmp_path, capsys, section, key):
+    # a Poisson reading of mean 1e300 has sd 1e150, far under one ulp of the
+    # mean, so both extremes of the 1e8 readings round to one float; the
+    # quantile search must still end, not overflow an int range
+    data = changed(bundled("decoy-poisson-noise"), "sweep", L_end=2.0)
+    data = changed(data, section, **{key: 1e300})
+    assert run_scenario(write_scenario(tmp_path, data)) == EXIT_DEGENERATE
+    err = capsys.readouterr().err
+    assert err.startswith("error: all 100000000 readings are ") and err.count("\n") == 1, err
+    assert err.endswith("an auto-minmax window needs two distinct readings\n"), err
+
+
 def test_apn_source_whose_mean_is_past_the_worst_case_peak_runs(tmp_path, capsys):
     # mean output mu * eta = 25: the worst case is all mass on k = mu, whose
     # multiphoton probability is about 1, so every row has rate 0

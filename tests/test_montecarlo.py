@@ -1,7 +1,13 @@
 """Monte Carlo monitoring runs: determinism, statistics, pipeline wiring."""
 
+import math
+from dataclasses import replace
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from passiveqkd import (
@@ -331,3 +337,100 @@ def test_auto_minmax_bound_is_sound_without_noise():
         true_mass = stats.poisson.cdf(w.m2, mean_m) - stats.poisson.cdf(w.m1 - 1.0, mean_m)
         violations += pipe.untagged_lower > true_mass + 1e-12
     assert violations <= alpha * n_runs, f"{violations} of {n_runs} runs overstate the mass"
+
+
+# --- the quantile contract of one reading's law --------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _law(source, noise, scheme=ORACLE_SCHEME):
+    """The law of one monitor reading; the window is never read."""
+    return montecarlo._readings(RunConfig(M=2, seed=0, source=source, scheme=scheme,
+                                          noise=noise, window=ORACLE_WINDOW))
+
+
+def _poissonian(rng, low, high):
+    """A Poissonian source whose thinned mean mu xi is log-uniform in [low, high]."""
+    rate = 10.0 ** rng.uniform(math.log10(low), math.log10(high))
+    scheme = replace(ORACLE_SCHEME, mu=rate / ORACLE_SCHEME.xi)
+    return PoissonianSource(scheme.mu), scheme
+
+
+def _tails(rng):
+    """Tail masses from 0 to within 1e-12 of 1, three of them random."""
+    return (0.0, 1e-12, *rng.random(3), 1.0 - 1e-12, 1.0 - 1e-13)
+
+
+def _integer_laws(rng):
+    """Readings of a small explicit source (point masses included), without
+    noise and with Poisson noise at gamma <= 50, and of a Poissonian source
+    with mu xi in [1e-3, 1e12], without noise and with Poisson noise."""
+    size, keep = rng.integers(1, 40), rng.random()
+    probs = np.where(rng.random(size) < keep, rng.random(size), 0.0)
+    probs[rng.integers(size)] += 1.0
+    explicit = ExplicitSource(PhotonNumberDistribution(probs / probs.sum()))
+    source, scheme = _poissonian(rng, 1e-3, 1e12)
+    return [
+        _law(explicit, None),
+        _law(explicit, PoissonNoise(rng.uniform(1e-3, 50.0))),
+        _law(source, None, scheme),
+        _law(source, PoissonNoise(10.0 ** rng.uniform(-3, 12)), scheme),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_integer_quantiles_are_the_least_counts_past_their_tails(seed):
+    # lower_quantile(a) is the least k with P(m' <= k) >= a, upper_quantile(b)
+    # the least k with P(m' > k) <= b; b = 0 asks for the count where the
+    # computed upper tail first reads 0, which the bracket must still hold
+    rng = np.random.default_rng(seed)
+    for law in _integer_laws(rng):
+        for p in (*_tails(rng), 1e-300, 5e-324):
+            k = law.lower_quantile(p)
+            assert k == int(k) >= 0
+            assert law.below(k + 1) >= p and (k == 0 or law.below(k) < p), (law.mean, p, k)
+            k = law.upper_quantile(p)
+            assert k == int(k) >= 0
+            assert law.above(k) <= p and (k == 0 or law.above(k - 1) > p), (law.mean, p, k)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_gaussian_quantiles_solve_their_tails_within_the_solver_tolerance(seed):
+    # the solver stops within 4 eps (|x| + scale) of the root, so the mass
+    # changes sides across that distance.  mu xi stops at 1e7: the law's
+    # weight array grows as 24 sqrt(mu xi)
+    rng = np.random.default_rng(seed)
+    source, scheme = _poissonian(rng, 1e-3, 1e7)
+    law = _law(source, GaussianNoise(10.0 ** rng.uniform(-3, 8)), scheme)
+    assert law.lower_quantile(0.0) == -math.inf and law.below(-math.inf) == 0.0
+    assert law.upper_quantile(0.0) == math.inf and law.above(math.inf) == 0.0
+    for p in _tails(rng)[1:]:
+        x, y = law.lower_quantile(p), law.upper_quantile(p)
+        tx, ty = (4.0 * EPS * (abs(v) + law.scale) for v in (x, y))
+        assert law.below(x - tx) <= p <= law.below(x + tx), (law.mean, p, x)
+        assert law.above(y + ty) <= p <= law.above(y - ty), (law.mean, p, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights=st.lists(st.integers(0, 20), min_size=1, max_size=30).filter(any),
+       offset=st.integers(0, 10**6),
+       p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(weights=[0, 0, 7], offset=0, p=0.5)  # a point mass: sd = 0
+@example(weights=[1, 1], offset=10**6, p=5e-324)
+def test_cantelli_bracket_holds_the_quantile_of_any_pmf(weights, offset, p):
+    # exact: the pmf's moments and tails in fractions, p as its own float
+    total = sum(weights)
+    pmf = [(k, Fraction(w, total)) for k, w in enumerate(weights, offset)]
+    mean = sum(k * q for k, q in pmf)
+    sd = math.sqrt(sum((k - mean) ** 2 * q for k, q in pmf))
+    lo, hi = montecarlo._bracket(float(mean), sd, p)
+    assert math.isfinite(lo) and math.isfinite(hi)
+
+    def mass(keep):
+        return sum(q for k, q in pmf if keep(k))
+
+    assert mass(lambda k: k <= lo) < Fraction(p) < mass(lambda k: k < hi)
+    # the bracket of -X, whose ends negated and swapped serve the upper tail
+    lo, hi = montecarlo._bracket(-float(mean), sd, p)
+    assert mass(lambda k: k >= -lo) < Fraction(p) < mass(lambda k: k > -hi)
