@@ -42,8 +42,9 @@ from .photon_stats import PassiveSchemeParams
 from .worstcase import maximize_ratio
 
 _SECTIONS = ("scheme", "channel", "decoy", "noise", "window", "sweep")
-_SWEEP_KEYS = ("L_start", "L_end", "L_step")
 _MAX_SWEEP_POINTS = 100_000
+# the modes whose rate reads scheme.lam at each distance, so it may be 'optimized'
+_LAM_OPTIMIZED = ("apn-bb84", "pna-bb84", "trusted-bb84")
 _NOISE = {"poisson": PoissonNoise, "gaussian": GaussianNoise, "none": None}
 
 EXIT_OK = 0
@@ -97,38 +98,34 @@ def load_scenario(name_or_path: str) -> dict:
     return data
 
 
-def _mistyped(value, kind) -> str | None:
-    """Why ``value`` cannot fill a field annotated ``kind``, or None."""
-    if isinstance(value, bool) or not isinstance(value, {"int": int}.get(kind, (int, float))):
-        return "must be an integer" if kind == "int" else "must be a number"
-    if kind != "int" and not abs(value) <= sys.float_info.max:  # inf, nan, or past any float
+def _mistyped(value) -> str | None:
+    """Why ``value`` cannot fill a float field, or None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return "must be a number"
+    if not abs(value) <= sys.float_info.max:  # inf, nan, or past any float
         return "must be a finite number"
     return None
-
-
-def _key_problems(spec: dict, kinds: dict, required) -> list[tuple[str, str]]:
-    """Unknown, mistyped and missing keys of one scenario mapping."""
-    problems = [(k, _mistyped(v, kinds[k]) if k in kinds else "unknown key")
-                for k, v in spec.items()]
-    problems += [(k, "required") for k in kinds if k in required and k not in spec]
-    return [(k, message) for k, message in problems if message]
 
 
 def _build(report, section, cls, spec, skip=(), **given):
     """``cls(**spec, **given)``, or None with every problem in the report.
 
     ``spec`` may and must hold the fields of ``cls`` less ``skip`` and
-    ``given``, with their types; an integer given for a float field
-    arrives as a float.  Callables in ``given`` get the checked ``spec``.
-    Library messages start with the offending field's name.  An absent
-    section (``spec`` None) gives None.
+    ``given``; a float field takes a finite number, and an integer given
+    for it arrives as a float.  Any other field is left to the
+    constructor's own check.  Callables in ``given`` get the checked
+    ``spec``.  Library messages start with the offending field's name.  An
+    absent section (``spec`` None) gives None.
     """
     if spec is None:
         return None
     fields = [f for f in dataclasses.fields(cls) if f.name not in (*skip, *given)]
     kinds = {f.name: f.type for f in fields}
-    required = {f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING}
-    problems = _key_problems(spec, kinds, required)
+    problems = [(k, "unknown key" if k not in kinds else kinds[k] == "float" and _mistyped(v))
+                for k, v in spec.items()]
+    problems += [(f.name, "required") for f in fields if f.name not in spec
+                 and f.default is f.default_factory is dataclasses.MISSING]
+    problems = [(k, message) for k, message in problems if message]
     if not problems:
         spec = {k: float(v) if kinds[k] == "float" else v for k, v in spec.items()}
         given = {k: v(spec) if callable(v) else v for k, v in given.items()}
@@ -142,24 +139,29 @@ def _build(report, section, cls, spec, skip=(), **given):
     return None
 
 
-def _parse_sweep(report, spec):
-    """The sweep's distances in km; the sweep has no library type."""
-    problems = _key_problems(spec, dict.fromkeys(_SWEEP_KEYS, "float"), _SWEEP_KEYS)
-    if not problems:
-        l0, l1, step = (spec[key] for key in _SWEEP_KEYS)
-        bounds = (("L_start", l0 < 0, ">= 0"), ("L_step", step <= 0, "> 0"),
-                  ("L_end", l1 < l0, ">= L_start"))
-        problems = [(key, f"must be {bound}") for key, wrong, bound in bounds if wrong]
-    if not problems:
-        # counted as a float before any list is built: inf and nan fail too
-        steps = (l1 - l0) / step + 1e-9
-        if not steps < _MAX_SWEEP_POINTS:
-            problems = [("L_step", f"must leave at most {_MAX_SWEEP_POINTS} sweep points")]
-    for key, message in problems:
-        report.add(f"sweep.{key}", message)
-    if problems:
-        return None
-    return [l0 + i * step for i in range(int(steps) + 1)]
+@dataclass(frozen=True)
+class _Sweep:
+    """The distances L_start, L_start + L_step, ... up to L_end, in km."""
+
+    L_start: float
+    L_end: float
+    L_step: float
+
+    def __post_init__(self):
+        if not self.L_start >= 0.0:
+            raise ValueError("L_start must be >= 0")
+        if not self.L_step > 0.0:
+            raise ValueError("L_step must be > 0")
+        if not self.L_end >= self.L_start:
+            raise ValueError("L_end must be >= L_start")
+        # counted as a float before any list is built: an infinite count fails too
+        if not (self.L_end - self.L_start) / self.L_step + 1e-9 < _MAX_SWEEP_POINTS:
+            raise ValueError(f"L_step must leave at most {_MAX_SWEEP_POINTS} sweep points")
+
+    @property
+    def points(self) -> list[float]:
+        steps = int((self.L_end - self.L_start) / self.L_step + 1e-9)
+        return [self.L_start + i * self.L_step for i in range(steps + 1)]
 
 
 def _optimized_lam(mu: float, t_B: float, ch: ChannelParams) -> float:
@@ -201,7 +203,7 @@ def validate_scenario_dict(data: dict) -> ValidationReport:
     if source == "exact" and not isinstance(data.get("window"), dict):
         report.add("window", "delta_source 'exact' needs a fixed {m1, m2} window")
     f_ec = data.get("f_ec", 1.0)
-    if "f_ec" in reads and (_mistyped(f_ec, "float") or not f_ec >= 1.0):
+    if "f_ec" in reads and (_mistyped(f_ec) or not f_ec >= 1.0):
         report.add("f_ec", "must be a finite number >= 1")
     if data.get("output") is not None and not isinstance(data["output"], str):
         report.add("output", "must be a path string")
@@ -217,7 +219,7 @@ def validate_scenario_dict(data: dict) -> ValidationReport:
             report.add(section, "must be a mapping")
     # channel.L stays an unknown key: the sweep sets L
     channel = _build(report, "channel", ChannelParams, blocks.get("channel"), skip=("L",))
-    points = _parse_sweep(report, blocks["sweep"]) if "sweep" in blocks else None
+    sweep = _build(report, "sweep", _Sweep, blocks.get("sweep"))
     noise = None
     if "noise" in blocks:
         rest = dict(blocks["noise"])
@@ -228,26 +230,21 @@ def validate_scenario_dict(data: dict) -> ValidationReport:
         elif cls is not None:
             noise = _build(report, "noise", cls, rest)
     window = _build(report, "window", ThresholdWindow, blocks.get("window"))
-    decoy = None
-    if "decoy" in blocks:
-        # trusted-decoy never reads the attenuators: they are given an
-        # admissible stand-in, so that the constructor checks the rest and a
-        # supplied one is an unknown key
-        stand_in = {"lambda_s": 1.0, "lambda_d": 0.5} if mode == "trusted-decoy" else {}
-        decoy = _build(report, "decoy", DecoySettings, blocks["decoy"], **stand_in)
+    # trusted-decoy never reads the attenuators: they are given an admissible
+    # stand-in, so that the constructor checks the rest and a supplied one is
+    # an unknown key
+    stand_in = {"lambda_s": 1.0, "lambda_d": 0.5} if mode == "trusted-decoy" else {}
+    decoy = _build(report, "decoy", DecoySettings, blocks.get("decoy"), **stand_in)
     scheme = None
     optimized = "scheme" in blocks and blocks["scheme"].get("lam") == "optimized"
-    if "scheme" in blocks and not optimized:
-        scheme = _build(report, "scheme", PassiveSchemeParams, blocks["scheme"])
-    elif optimized and "channel" not in requires:
-        report.add("scheme.lam", f"'optimized' needs a channel, and mode {mode} has none")
-    elif optimized and mode == "pna-decoy":
-        report.add("scheme.lam", "'optimized' is not read by mode pna-decoy, whose "
-                                 "attenuators are decoy.lambda_s and decoy.lambda_d")
-    elif optimized and channel is not None and points is not None:
+    if not optimized:
+        scheme = _build(report, "scheme", PassiveSchemeParams, blocks.get("scheme"))
+    elif mode not in _LAM_OPTIMIZED:
+        report.add("scheme.lam", f"'optimized' is read only by the *-bb84 modes, not by {mode}")
+    elif channel is not None and sweep is not None:
         # lam is largest at the first distance, so the constructor's upper
         # bounds checked there hold for the whole sweep
-        ch0 = channel.at_distance(points[0])
+        ch0 = channel.at_distance(sweep.L_start)
         spec = {k: v for k, v in blocks["scheme"].items() if k != "lam"}
         scheme = _build(report, "scheme", PassiveSchemeParams, spec,
                         lam=lambda spec: _optimized_lam(spec["mu"], spec["t_B"], ch0))
@@ -260,15 +257,15 @@ def validate_scenario_dict(data: dict) -> ValidationReport:
     # alpha, M and seed are read, and so checked, only where the pipeline runs
     alpha, config = data.get("alpha"), None
     if source == "pipeline" and report.ok:
-        if _mistyped(alpha, "float") or not 0.0 < alpha < 1.0:
+        if _mistyped(alpha) or not 0.0 < alpha < 1.0:
             report.add("alpha", "must be a finite number in (0, 1)")
         spec = {key: data[key] for key in ("M", "seed")}
         config = _build(report, "", RunConfig, spec, source=PoissonianSource(scheme.mu),
                         scheme=scheme, noise=noise, window=window)
     report.scenario = SimpleNamespace(
         mode=mode, scheme=scheme, optimized=optimized, channel=channel, decoy=decoy,
-        noise=noise, window=window, points=points, delta_source=source, config=config,
-        alpha=alpha, f_ec=f_ec,
+        noise=noise, window=window, points=sweep.points if sweep else None, delta_source=source,
+        config=config, alpha=alpha, f_ec=f_ec,
     )
     return report
 

@@ -57,16 +57,16 @@ class ChannelParams:
     def __post_init__(self):
         if not 0.0 < self.eta_B <= 1.0:
             raise ValueError("eta_B must be in (0, 1]")
-        if self.alpha_prime < 0.0:
-            raise ValueError("alpha_prime must be non-negative")
+        if not 0.0 <= self.alpha_prime < math.inf:
+            raise ValueError("alpha_prime must be non-negative and finite")
         if not 0.0 <= self.Y0 < 1.0:
             raise ValueError("Y0 must be in [0, 1)")
         if not 0.0 <= self.e_det < 0.5:
             raise ValueError("e_det must be in [0, 0.5)")
         if not 0.0 <= self.e0 <= 1.0:
             raise ValueError("e0 must be in [0, 1]")
-        if self.L < 0.0:
-            raise ValueError("L must be non-negative")
+        if not 0.0 <= self.L < math.inf:
+            raise ValueError("L must be non-negative and finite")
 
     @property
     def eta_f(self) -> float:
@@ -87,13 +87,13 @@ class DecoySettings:
     f_ec: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.nu_d < self.nu_s:
-            raise ValueError("nu_d must satisfy 0 < nu_d < nu_s")
+        if not 0.0 < self.nu_d < self.nu_s < math.inf:
+            raise ValueError("nu_d must satisfy 0 < nu_d < nu_s < inf")
         if not 0.0 < self.lambda_s <= 1.0:
             raise ValueError("lambda_s must be in (0, 1]")
         if not 0.0 < self.lambda_d < self.lambda_s:
             raise ValueError("lambda_d must satisfy 0 < lambda_d < lambda_s")
-        if self.f_ec < 1.0:
+        if not self.f_ec >= 1.0:
             raise ValueError("f_ec must be >= 1")
 
 
@@ -117,7 +117,7 @@ def binary_entropy(x: float) -> float:
 def channel_gain_qber(mu_p2: float, ch: ChannelParams) -> tuple[float, float]:
     """Expected gain and QBER for a Poissonian pulse of APN ``mu_p2`` at the
     encoder output, over a fiber of length ch.L."""
-    if mu_p2 < 0.0:
+    if not mu_p2 >= 0.0:
         raise ValueError("mu_p2 must be non-negative")
     click = -math.expm1(-mu_p2 * ch.eta_B * ch.eta_f)
     Q = ch.Y0 + click
@@ -135,13 +135,13 @@ def gllp_rate(Q: float, E: float, delta_bar: float, f_ec: float = 1.0) -> float:
     worthless (their entropy term is set to 0) rather than letting the
     entropy argument leave its useful domain.
     """
-    if Q <= 0.0:
-        raise ValueError("Q must be positive")
+    if not 0.0 < Q < math.inf:
+        raise ValueError("Q must be positive and finite")
     if not 0.0 <= E < 1.0:
         raise ValueError("E must be in [0, 1)")
     if not 0.0 <= delta_bar:
         raise ValueError("delta_bar must be non-negative")
-    if f_ec < 1.0:
+    if not f_ec >= 1.0:
         raise ValueError("f_ec must be >= 1")
     if delta_bar >= 1.0:
         return 0.0
@@ -167,8 +167,8 @@ def tagged_rate(mu_p2: float, p_multi: float, ch: ChannelParams, f_ec: float = 1
 
 def poisson_multiphoton(mu: float) -> float:
     """P(n >= 2) of a Poissonian pulse of APN ``mu``."""
-    if mu < 0.0:
-        raise ValueError("mu must be non-negative")
+    if not 0.0 <= mu < math.inf:
+        raise ValueError("mu must be non-negative and finite")
     return -math.expm1(-mu) - mu * math.exp(-mu)
 
 

@@ -85,8 +85,8 @@ class PoissonianSource:
     mu: float
 
     def __post_init__(self):
-        if self.mu <= 0.0:
-            raise ValueError("mu must be positive")
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError("mu must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ class PoissonNoise:
     gamma: float  # mean dark counts per gate
 
     def __post_init__(self):
-        if self.gamma <= 0.0:
+        if not self.gamma > 0.0:
             raise ValueError("gamma must be positive")
 
 
@@ -53,7 +53,7 @@ class GaussianNoise:
     sigma2: float  # variance in photoelectron^2 units
 
     def __post_init__(self):
-        if self.sigma2 <= 0.0:
+        if not self.sigma2 > 0.0:
             raise ValueError("sigma2 must be positive")
 
 
@@ -132,7 +132,7 @@ def poisson_bbar(w: ThresholdWindow, gamma: float) -> float:
     right side grows by >= (w + 1)/(m1 + w + 1) per step, so the maximum is
     taken within 2 + 8 eps L (m1 + w + 1)/(w + 1) steps of that s.
     """
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise ValueError("gamma must be positive")
     m1, m2 = w.as_integers()
     if m1 == 0:
@@ -152,7 +152,7 @@ def poisson_bbar(w: ThresholdWindow, gamma: float) -> float:
 
 def poisson_b(m2: int, gamma: float) -> float:
     """Poisson(gamma) CDF at m2 (regularized-gamma evaluation)."""
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise ValueError("gamma must be positive")
     return float(poisson_window_mass(0, m2, gamma))
 
@@ -180,7 +180,7 @@ def gaussian_b123(w: ThresholdWindow, sigma2: float) -> tuple[float, float, floa
     signal inside it, and b3 for signal above it; b3's integration limits
     deliberately run to -1 (not 0), one count past the threshold.
     """
-    if sigma2 <= 0.0:
+    if not sigma2 > 0.0:
         raise ValueError("sigma2 must be positive")
     sigma = math.sqrt(sigma2)
     width = w.width

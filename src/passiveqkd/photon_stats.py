@@ -95,8 +95,8 @@ class PassiveSchemeParams:
         if self.xi == 0.0:
             smaller = "t_B" if self.t_B < self.t_D else "t_D"
             raise ValueError(f"{smaller} makes xi = t_B * t_D underflow to 0")
-        if self.mu <= 0.0:
-            raise ValueError("mu must be positive")
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError("mu must be positive and finite")
         if not 0.0 < self.lam <= 1.0:
             raise ValueError("lam must be in (0, 1]")
         if self.lambda_a > 1.0 + 1e-12:
@@ -151,8 +151,8 @@ def poisson_pmf(n, mu: float):
 def poisson_pnd(mu: float) -> PhotonNumberDistribution:
     """Poissonian photon-number distribution with mean ``mu``, cut at
     ``poisson_cut(mu)`` with the tail past it as ``tail_mass``."""
-    if mu <= 0.0:
-        raise ValueError("mu must be positive")
+    if not 0.0 < mu < math.inf:
+        raise ValueError("mu must be positive and finite")
     n_max = poisson_cut(mu)
     return PhotonNumberDistribution(
         probs=poisson_pmf(np.arange(n_max + 1), mu), tail_mass=float(special.pdtrc(n_max, mu))

@@ -46,8 +46,8 @@ def coefficient_a(k, eta: float):
     small eta and large k do not lose precision.  Accepts scalar or array k.
     """
     k_arr = np.asarray(k, dtype=float)
-    if np.any(k_arr < 2):
-        raise ValueError("k must be >= 2")
+    if not np.all((2 <= k_arr) & (k_arr < np.inf)):
+        raise ValueError("k must be finite and >= 2")
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must be in (0, 1)")
     log1m = math.log1p(-eta)
@@ -99,8 +99,8 @@ def maximize_ratio(eta: float, mu: float) -> WorstCaseResult:
     """
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must be in (0, 1)")
-    if mu < 0.0:
-        raise ValueError("mu must be non-negative")
+    if not 0.0 <= mu < math.inf:
+        raise ValueError("mu must be non-negative and finite")
     if mu == 0.0:
         return WorstCaseResult(0.0, 2, (1.0, 0.0))
     eta = max(eta, _ETA_MIN)

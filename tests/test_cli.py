@@ -126,6 +126,14 @@ def test_malformed_yaml_is_io_error_naming_file_line_and_column(tmp_path, capsys
     assert re.search(r"line \d+, column \d+", err)
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_scenario_that_is_not_a_mapping_is_io_error(tmp_path, capsys, command):
+    path = tmp_path / "list.yaml"
+    path.write_text("- mode\n- trusted-bb84\n", encoding="utf-8")
+    assert main([command, str(path)]) == EXIT_IO
+    assert capsys.readouterr().err == "I/O error: scenario must be a mapping\n"
+
+
 def test_load_scenario_gives_the_pure_python_loaders_mapping():
     # yaml.safe_load, PyYAML's pure-Python loader, is the oracle; repr also
     # tells an int from an equal float
@@ -255,6 +263,12 @@ GAUSSIAN_NOISE = {"type": "gaussian", "sigma2": 1e9}
         pytest.param(changed(bundled("decoy-trusted"), "decoy", nu_s=INF), [], "decoy.nu_s",
                      id="decoy-nu_s-inf"),
         pytest.param(dict(GOOD_TRUSTED, f_ec=INF), [], "f_ec", id="f_ec-inf"),
+        pytest.param(changed(GOOD_TRUSTED, "sweep", L_start=-1.0), [], "sweep.L_start",
+                     id="L_start-negative"),
+        pytest.param(changed(GOOD_TRUSTED, "sweep", L_step=0.0), [], "sweep.L_step",
+                     id="L_step-0"),
+        pytest.param(changed(GOOD_TRUSTED, "sweep", L_start=6.0), [], "sweep.L_end",
+                     id="L_end-below-L_start"),
         pytest.param(changed(GOOD_TRUSTED, "sweep", L_end=1e12, L_step=1.0), [], "sweep.L_step",
                      id="sweep-1e12-points"),
         pytest.param(changed(GOOD_TRUSTED, "sweep", L_end=1e308, L_step=1e-308), [],
@@ -300,6 +314,16 @@ GAUSSIAN_NOISE = {"type": "gaussian", "sigma2": 1e9}
                      id="apn-t_D-xi-underflow"),
         pytest.param(changed(bundled("ideal-trusted"), "scheme", t_D=5e-324), [], "scheme.t_D",
                      id="trusted-t_D-xi-underflow"),
+        pytest.param(dict(PNA_DECOY, delta_source="exactly"), [], "delta_source",
+                     id="delta-source-exactly"),
+        pytest.param(dict(GOOD_TRUSTED, output=5), [], "output", id="output-not-a-string"),
+        pytest.param(dict(GOOD_TRUSTED, channel=[1]), [], "channel", id="channel-not-a-mapping"),
+        pytest.param(dict(GOOD_MC, window="auto"), [], "window", id="window-bad-string"),
+        pytest.param(dict(GOOD_MC, noise={"type": "dark"}), [], "noise.type",
+                     id="noise-type-dark"),
+        # t_B = t_D = 0.5 gives lambda_A = lambda_s (1 - t_B) / (t_B t_D) = 1.8
+        pytest.param(changed(changed(PNA_DECOY, "scheme", t_B=0.5, t_D=0.5), "decoy",
+                             lambda_s=0.9), [], "decoy.lambda_s", id="pna-decoy-lambda_A-1.8"),
     ],
 )
 def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, data, flags, field):
