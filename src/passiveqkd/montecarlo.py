@@ -30,7 +30,10 @@ monitor reading m' enters, and the run never simulates the pulses:
   (their mixtures for an explicit source, whose upper tails are summed as
   tails, never as 1 - F); Gaussian ones solve sum_j w_j Phi((x - j)/sigma)
   = A (or its upper-tail twin = B) by a Newton step on the log tail that
-  falls back to bisecting it.
+  falls back to bisecting it.  That sum is taken over bins of h = floor(
+  sigma/1000) consecutive counts once h reaches 16, each bin by a Taylor
+  series in its first 8 moments with a stated truncation bound, so an
+  evaluation costs the number of bins rather than the 24 sqrt(mu xi) counts.
 * *Conditional uniformity.*  Given A and B, the other M - 2 uniforms are iid
   on (A, 1 - B), and m' lies in the window [m1, m2] exactly when U lies in
   (F(m1-), F(m2)].  So k' is the two extremes' own indicators plus
@@ -159,12 +162,28 @@ def _bracket(mean: float, sd: float, p: float) -> tuple[float, float]:
     return mean - 2.0 * sd / math.sqrt(p) - 1.0, mean + 2.0 * sd * math.sqrt(p / (1.0 - p)) + 1.0
 
 
-def _least(pred, lo: float, hi: float) -> int:
+def _least(pred, lo: float, hi: float, guess: float) -> int:
     """Smallest integer k >= 0 with pred(k), for pred false then true in k,
-    false at every k <= ``lo`` and true at ``hi``: bisection on Python ints,
-    which hold any float's integer part.
+    false at every k <= ``lo`` and true at ``hi``.
+
+    Probes ``guess`` (any float, clipped into the bracket) first, gallops
+    away from it by doubling steps until pred flips, then bisects: every
+    probe lies strictly inside (lo, hi), and a guess d counts off costs
+    about 2 log2(d) probes.  Python ints hold any float's integer part.
     """
     lo, hi = max(-1, math.floor(lo)), max(0, math.ceil(hi))
+    if hi - lo > 1:
+        k, step = math.floor(min(hi - 1, max(lo + 1, guess))), 1  # NaN clips to lo + 1
+        up = not pred(k)
+        while True:
+            lo, hi = (k, hi) if up else (lo, k)
+            k = min(k + step, hi - 1) if up else max(k - step, lo + 1)
+            if not lo < k < hi:
+                break
+            if pred(k) == up:  # flipped: k closes the bracket on the far side
+                lo, hi = (lo, k) if up else (k, hi)
+                break
+            step *= 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if pred(mid) else (mid, hi)
@@ -220,15 +239,41 @@ class _MixtureReadings:
 
     def lower_quantile(self, a: float) -> float:  # inf{m : P(m' <= m) >= a}
         a = min(a, self.total)
-        return float(_least(lambda k: self.below(k + 1) >= a, *_bracket(self.mean, self.sd, a)))
+        guess = self.mean + self.sd * float(special.ndtri(a))
+        return float(_least(lambda k: self.below(k + 1) >= a,
+                            *_bracket(self.mean, self.sd, a), guess))
 
     def upper_quantile(self, b: float) -> float:  # inf{m : P(m' > m) <= b}
         lo, hi = _bracket(-self.mean, self.sd, b)
-        return float(_least(lambda k: self.above(k) <= b, -hi, -lo))
+        guess = self.mean - self.sd * float(special.ndtri(b))
+        return float(_least(lambda k: self.above(k) <= b, -hi, -lo, guess))
 
 
 class _GaussianReadings:
-    """m' = m + N(0, sigma^2), m = ``counts`` with probabilities ``weights``.
+    """m' = m + N(0, sigma^2), m = ``counts`` (consecutive integers) with
+    probabilities ``weights``.
+
+    The law is summed over bins of h consecutive counts, h = floor(sigma /
+    1000) where that is at least 16 (capped at the support's size, so the
+    bins never outgrow the weights) and h = 1 otherwise.  Bin k, centred at
+    c_k, keeps the scaled moments M_jk = sum_i w_i (d_i/sigma)^j / j! for j
+    < J = 8, d_i a count's offset from c_k.  With z_k = (x - c_k)/sigma,
+    Taylor's theorem in d_i/sigma gives
+
+        P(m' <= x) = sum_k M_0k Phi(z_k) - phi(z_k) sum_{j >= 1} M_jk He_{j-1}(z_k)
+        density    = (1/sigma) sum_k phi(z_k) sum_{j >= 0} M_jk He_j(z_k),
+
+    He the probabilists' Hermite polynomials.  As |d_i| < h/2, the mass's
+    remainder in bin k is at most M_0k (h/2sigma)^J / J! max |He_{J-1}| phi
+    over the bin.  By the Mills ratio Phi(z) >= phi(z) |z|/(1 + z^2), that
+    is under 5e-19 of the bin's own term M_0k Phi(z_k) for |z_k| <= 38.5 at
+    h <= sigma/1000, and the density's remainder, with He_J, is under 5e-19
+    of M_0k phi(z_k).  Past |z| = 38.5 phi underflows, so the corrections
+    are added only where phi > 0: z He overflows there, inf * 0 never forms,
+    and the mass at -inf (+inf) stays exactly 0 (the total).  The upper tail
+    is the same sum for -m', the bins mirrored with their odd moments
+    negated.  At h = 1 only M_0 = w is kept (all other moments are 0), so
+    the sums are the direct ones over every count.
 
     ``mean`` and ``var`` must be m's true mean and variance: the solver
     brackets m' by Cantelli's inequality at mean and var + sigma^2.
@@ -236,24 +281,66 @@ class _GaussianReadings:
 
     def __init__(self, counts: np.ndarray, weights: np.ndarray, mean: float, var: float,
                  sigma2: float):
-        self.counts, self.weights, self.mean = counts, weights, mean
-        self.sigma, self.scale = math.sqrt(sigma2), math.sqrt(var + sigma2)
+        self.mean, self.sigma = mean, math.sqrt(sigma2)
+        self.scale = math.sqrt(var + sigma2)
+        h = min(counts.size, math.floor(self.sigma / 1000.0))
+        if h < 16:
+            centres, moments = counts, weights[np.newaxis]
+        else:
+            bins = -(-counts.size // h)
+            grouped = np.zeros(bins * h)
+            grouped[: counts.size] = weights
+            grouped = grouped.reshape(bins, h)
+            centres = counts[0] + (h - 1) / 2.0 + h * np.arange(bins, dtype=float)
+            offsets = (np.arange(h) - (h - 1) / 2.0) / self.sigma
+            power, moments = np.ones(h), np.empty((8, bins))
+            for j in range(8):
+                # no BLAS, as in _weighted_sum; at 31 counts a bin this is
+                # about 5 times faster than (grouped * power).sum(axis=1)
+                moments[j] = np.einsum("ki,i->k", grouped, power)
+                power = power * offsets / (j + 1)
+        mirror = (-1.0) ** np.arange(len(moments))[:, np.newaxis]
+        self._below, self._above = (centres, moments), (-centres, moments * mirror)
 
     def below(self, x: float) -> float:
-        return _weighted_sum(special.ndtr((x - self.counts) / self.sigma), self.weights)
+        return self._mass_density(x, *self._below)[0]
 
     def above(self, x: float) -> float:
-        return _weighted_sum(special.ndtr((self.counts - x) / self.sigma), self.weights)
+        # P(m' > x) = P(-m' < -x), and -m' is the same mixture around -m
+        return self._mass_density(-x, *self._above)[0]
 
     def lower_quantile(self, a: float) -> float:
-        return self._solve(a, self.counts, self.mean)
+        return self._solve(a, self._below, self.mean)
 
     def upper_quantile(self, b: float) -> float:
-        # P(m' > x) = P(-m' < -x), and -m' is the same mixture around -m
-        return -self._solve(b, -self.counts, -self.mean)
+        return -self._solve(b, self._above, -self.mean)
 
-    def _solve(self, p: float, centers: np.ndarray, mean: float) -> float:
-        """x with sum_i w_i Phi((x - c_i)/sigma) = p: Newton on the log mass.
+    def _mass_density(self, x: float, centres: np.ndarray, moments: np.ndarray):
+        """The binned sums above at x: P(m' <= x) and its density."""
+        z = (x - centres) / self.sigma
+        mass = _weighted_sum(special.ndtr(z), moments[0])
+        with np.errstate(over="ignore"):  # a z^2 past the float range has exp(-inf) = 0
+            phi = -0.5 * z
+            phi *= z
+            np.exp(phi, out=phi)  # in place: a fresh buffer measured ~10% slower at 76k counts
+            per_phi = moments[0]  # the density's weight on each phi(z_k)
+            live = np.flatnonzero(phi) if len(moments) > 1 else ()
+            if len(live):
+                live = slice(live[0], live[-1] + 1)  # one run of bins: phi is unimodal in k
+                z, he_prev, he = z[live], 1.0, z[live]  # He_0 and He_1
+                mass_series, per_phi = moments[1, live], moments[0].copy()
+                density_series = mass_series * he
+                for j in range(2, len(moments)):
+                    he_prev, he = he, z * he - (j - 1) * he_prev
+                    mass_series = mass_series + moments[j, live] * he_prev
+                    density_series += moments[j, live] * he
+                mass -= _weighted_sum(mass_series, phi[live]) / _SQRT_2PI
+                per_phi[live] += density_series
+            density = _weighted_sum(phi, per_phi) / (self.sigma * _SQRT_2PI)
+        return mass, density
+
+    def _solve(self, p: float, side, mean: float) -> float:
+        """x with P(m' <= x) = p on ``side``'s bins: Newton on the log mass.
 
         Each step narrows a bracket [lo, hi] around the root, which starts
         as ``_bracket``'s; a Newton step that leaves it is replaced by
@@ -263,19 +350,16 @@ class _GaussianReadings:
         """
         if p <= 0.0:
             return -math.inf
-        log_p, sigma = math.log(p), self.sigma
+        log_p = math.log(p)
         x = mean + self.scale * float(special.ndtri(p))
         tol = 4.0 * np.finfo(float).eps * (abs(x) + self.scale)
         lo, hi = _bracket(mean, self.scale, p)
         for _ in range(200):
-            z = (x - centers) / sigma
-            mass = _weighted_sum(special.ndtr(z), self.weights)
+            mass, density = self._mass_density(x, *side)
             if mass < p:
                 lo = x
             else:
                 hi = x
-            with np.errstate(over="ignore"):  # a z^2 past the float range has exp(-inf) = 0
-                density = _weighted_sum(np.exp(-0.5 * z * z), self.weights) / (sigma * _SQRT_2PI)
             step = (log_p - math.log(mass)) * mass / density if mass * density > 0.0 else math.nan
             if abs(step) <= tol:
                 return x + step

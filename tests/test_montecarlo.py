@@ -1,6 +1,7 @@
 """Monte Carlo monitoring runs: determinism, statistics, pipeline wiring."""
 
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from passiveqkd import (
     run,
     run_pipeline,
 )
+from passiveqkd._special import special
 
 SCHEME = PassiveSchemeParams(t_B=0.9, t_D=0.76, lam=3.42e-7, mu=1000.0)
 
@@ -434,3 +436,117 @@ def test_cantelli_bracket_holds_the_quantile_of_any_pmf(weights, offset, p):
     # the bracket of -X, whose ends negated and swapped serve the upper tail
     lo, hi = montecarlo._bracket(-float(mean), sd, p)
     assert mass(lambda k: k >= -lo) < Fraction(p) < mass(lambda k: k > -hi)
+
+
+# --- the binned Gaussian law ------------------------------------------------
+
+def _binned(law):
+    """Whether a Gaussian reading law sums over bins of counts (h > 1)."""
+    return len(law._below[1]) > 1
+
+
+def _direct_sums(law, counts, weights, x):
+    """P(m' <= x), P(m' > x) and the density at x summed over every count."""
+    z = (x - counts) / law.sigma
+    return (math.fsum(weights * special.ndtr(z)), math.fsum(weights * special.ndtr(-z)),
+            math.fsum(weights * np.exp(-0.5 * z * z)) / (law.sigma * math.sqrt(2.0 * math.pi)))
+
+
+def _assert_matches_direct_sums(law, counts, weights, xs):
+    # the truncation bound is 5e-19 of each bin's term; rounding z = (x -
+    # c)/sigma moves Phi(z) and phi(z) by up to (1 + z^2) eps relative, in
+    # the direct sum and the binned one alike
+    for x in xs:
+        z_max = np.abs(x - counts).max() / law.sigma
+        tol = 5e-19 + 8.0 * EPS * (1.0 + z_max**2)
+        got = (law.below(x), law.above(x), law._mass_density(x, *law._below)[1])
+        for g, want in zip(got, _direct_sums(law, counts, weights, x)):
+            assert abs(g - want) <= tol * want, (law.sigma, x, g, want)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_binned_gaussian_law_matches_the_direct_sum_over_every_count(seed):
+    # sigma^2 in [1e9, 1e12] puts every case on the binned path (h = 31 to
+    # 1000, capped at the support), with mu xi in [1e3, 1e8]; x spans both
+    # tails out to 30 sd
+    rng = np.random.default_rng(1000 + seed)
+    source, scheme = _poissonian(rng, 1e3, 1e8)
+    law = _law(source, GaussianNoise(10.0 ** rng.uniform(9, 12)), scheme)
+    assert _binned(law)
+    counts, weights = montecarlo._poisson_weights(source.mu * scheme.xi)
+    u = (-30.0, -10.0, -3.0, -1.0, 0.0, 1.0, 3.0, 10.0, 30.0, *rng.uniform(-30, 30, 3))
+    _assert_matches_direct_sums(law, counts, weights, [law.mean + law.scale * v for v in u])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_binned_gaussian_quantiles_solve_their_tails_within_the_solver_tolerance(seed):
+    # the solver's contract of the h = 1 test above, at sigma^2 in [1e9, 1e12]
+    rng = np.random.default_rng(2000 + seed)
+    source, scheme = _poissonian(rng, 1e3, 1e8)
+    law = _law(source, GaussianNoise(10.0 ** rng.uniform(9, 12)), scheme)
+    assert _binned(law)
+    assert law.lower_quantile(0.0) == -math.inf and law.upper_quantile(0.0) == math.inf
+    for p in _tails(rng)[1:]:
+        x, y = law.lower_quantile(p), law.upper_quantile(p)
+        tx, ty = (4.0 * EPS * (abs(v) + law.scale) for v in (x, y))
+        assert law.below(x - tx) <= p <= law.below(x + tx), (law.mean, p, x)
+        assert law.above(y + ty) <= p <= law.above(y - ty), (law.mean, p, y)
+
+
+@pytest.mark.parametrize("sigma2", [1e3, 1e9, 1e12])
+def test_gaussian_law_at_infinite_and_huge_readings_is_exact_and_never_nan(sigma2):
+    # past |z| = 38.5 phi is 0 while z He_j overflows, so no correction may
+    # be formed there; the tails at +-inf stay exactly 0
+    law = _law(PoissonianSource(1e7 / ORACLE_SCHEME.xi), GaussianNoise(sigma2))
+    assert _binned(law) == (sigma2 > 1e3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert law.below(-math.inf) == 0.0 and law.above(math.inf) == 0.0
+        assert law.below(-1e300) == 0.0 and law.above(1e300) == 0.0
+        for total in (law.below(math.inf), law.above(-math.inf),
+                      law.below(1e300), law.above(-1e300)):
+            assert abs(total - 1.0) <= 1e-12
+        for x in (-math.inf, -1e300, 1e300, math.inf):
+            assert law._mass_density(x, *law._below)[1] == 0.0
+        # deep tails send the bisection ~1e160 sd out
+        for p in (5e-324, 1e-300):
+            assert math.isfinite(law.lower_quantile(p)) and math.isfinite(law.upper_quantile(p))
+
+
+def test_explicit_gaussian_run_on_the_binned_path_matches_its_oracles(per_pulse):
+    # sigma^2 = 1e9: bins of 31 counts over the bimodal source's 155; the
+    # law against the direct sum over every count, and the draw against
+    # per-pulse runs
+    source, noise = ExplicitSource(_bimodal_pnd(30.0, 50.0)), GaussianNoise(1e9)
+    law = _law(source, noise)
+    assert _binned(law)
+    pnd = source.pnd
+    counts, weights, _, _ = montecarlo._thinned(pnd.probs.tobytes(), pnd.tail_mass,
+                                                ORACLE_SCHEME.xi)
+    _assert_matches_direct_sums(law, counts, weights,
+                                [law.mean + law.scale * v for v in (-20.0, -5.0, 0.0, 5.0, 20.0)])
+    p_values = _oracle_p_values(source, source, noise, 2000, True, per_pulse, seed0=210_000)
+    assert min(p_values.values()) > SIGNIFICANCE, p_values
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.integers(-5, 10**6), width=st.integers(1, 10**6), frac=st.floats(0.0, 0.999),
+       data=st.data())
+def test_least_probes_only_inside_its_bracket_and_finds_the_least_count(lo, width, frac, data):
+    # any guess, NaN and infinities included; the gallop from it stays
+    # strictly inside (floor(lo), ceil(hi)) and costs about 2 log2 of the
+    # guess's distance from the answer
+    hi = lo + width
+    threshold = data.draw(st.integers(max(0, lo + 1), max(0, hi)))
+    guess = data.draw(st.one_of(st.floats(), st.integers(lo - 10, hi + 10).map(float)))
+    probes = []
+
+    def pred(k):
+        probes.append(k)
+        return k >= threshold
+
+    assert montecarlo._least(pred, lo + frac, hi - frac, guess) == threshold
+    lo_int, hi_int = max(-1, lo), max(0, hi)
+    assert all(lo_int < k < hi_int for k in probes), (probes, lo_int, hi_int)
+    distance = abs(threshold - min(hi_int - 1, max(lo_int + 1, guess)))  # from the clipped guess
+    assert len(probes) <= 2.0 * math.log2(distance + 1.0) + 3.0, probes

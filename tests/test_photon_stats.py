@@ -1,6 +1,7 @@
 """Photon-number distributions and Bernoulli thinning."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from passiveqkd import (
     poisson_pnd,
 )
 from passiveqkd.photon_stats import _norm_tol, poisson_cut
+
+EPS = np.finfo(float).eps
 
 
 def brute_force_thin(probs, t):
@@ -170,3 +173,46 @@ def test_poisson_pnd_builds_at_large_means(mu):
     # scipy's pmf summed over thousands of terms misses 1 by more than 1e-12
     pnd = poisson_pnd(mu)
     assert truncated_mean(pnd) == pytest.approx(mu, rel=1e-9)
+
+
+def exact_thin(probs, t):
+    """Thinning of float ``probs`` by float ``t``, exactly, as Fractions.
+
+    Both are dyadic rationals, so with t = a/d and p_n = c_n/den the
+    polynomial S(z) = sum_n c_n (d - a + a z)^n d^(size-1-n) has integer
+    coefficients, built by Horner's rule on Python ints, and out = S/(den
+    d^(size-1)).
+    """
+    a, d = Fraction(t).as_integer_ratio()
+    fractions = [Fraction(p) for p in probs]
+    den = max(f.denominator for f in fractions)  # all powers of two
+    c = [f.numerator * (den // f.denominator) for f in fractions]
+    s = [c[-1]]
+    for n in range(len(c) - 2, -1, -1):
+        shifted = [0] + [a * x for x in s]
+        s = [(d - a) * x for x in s] + [0]
+        s = [x + y for x, y in zip(s, shifted)]
+        s[0] += c[n] * d ** (len(c) - 1 - n)
+    scale = den * d ** (len(c) - 1)
+    return [Fraction(x, scale) for x in s]
+
+
+@pytest.mark.parametrize("size", [1, 2, 143, 144, 145, 139])  # B^2 - 1, B^2, B^2 + 1 at B = 12; prime
+@pytest.mark.parametrize("t", [0.0, 1.0 / 3.0, 0.684, 1.0])
+@pytest.mark.parametrize("scale", [1.0, 2.0**-1060], ids=["normal", "subnormal"])
+def test_transform_is_within_its_stated_bound_of_the_exact_thinning(size, t, scale):
+    # the docstring's bound: 3 size eps relative per entry, plus 2 size^2
+    # 2^-1074 absolute from underflow (the subnormal case, its mass all
+    # in the tail); random rational probabilities, some exactly 0
+    rng = np.random.default_rng(size)
+    weights = rng.integers(0, 1000, size) * (rng.random(size) < 0.9)
+    weights[rng.integers(size)] += 1
+    probs = weights / weights.sum() * scale
+    pnd = PhotonNumberDistribution(probs, tail_mass=0.0 if scale == 1.0 else 1.0)
+    got = bernoulli_transform(pnd, t).probs
+    assert got.size == size
+    rel, absolute = 3 * size * Fraction(EPS), 2 * size**2 * Fraction(2) ** -1074
+    for m, (g, want) in enumerate(zip(got.tolist(), exact_thin(probs, t))):
+        assert abs(Fraction(g) - want) <= rel * want + absolute, (m, g, float(want))
+    if t == 1.0:
+        np.testing.assert_array_equal(got, probs)
