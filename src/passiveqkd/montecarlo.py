@@ -34,6 +34,11 @@ monitor reading m' enters, and the run never simulates the pulses:
   sigma/1000) consecutive counts once h reaches 16, each bin by a Taylor
   series in its first 8 moments with a stated truncation bound, so an
   evaluation costs the number of bins rather than the 24 sqrt(mu xi) counts.
+  A Poissonian source's weights come from the ratio recurrence w(m + 1) =
+  w(m) mu xi/(m + 1), with no exp or log-gamma, one vectorised step per row
+  of a blocks array that has at most sqrt(24 sqrt(mu xi)) rows: at mu xi =
+  1e7 and sigma^2 = 1e9 the weights and the moments take about 0.55 ms and
+  a run about 1.3 ms (2-core x86_64).
 * *Conditional uniformity.*  Given A and B, the other M - 2 uniforms are iid
   on (A, 1 - B), and m' lies in the window [m1, m2] exactly when U lies in
   (F(m1-), F(m2)].  So k' is the two extremes' own indicators plus
@@ -67,7 +72,6 @@ from .photon_stats import (
     PhotonNumberDistribution,
     bernoulli_transform,
     poisson_cut,
-    poisson_pmf,
 )
 
 __all__ = [
@@ -250,15 +254,16 @@ class _MixtureReadings:
 
 
 class _GaussianReadings:
-    """m' = m + N(0, sigma^2), m = ``counts`` (consecutive integers) with
-    probabilities ``weights``.
+    """m' = m + N(0, sigma^2), m a count from ``first`` up with probabilities
+    ``weights``: an (h, bins) array whose column k holds the weights of the
+    h counts from first + k h, zero past the support.
 
-    The law is summed over bins of h consecutive counts, h = floor(sigma /
+    The law is summed over these bins, h from ``_bin_width``: floor(sigma /
     1000) where that is at least 16 (capped at the support's size, so the
-    bins never outgrow the weights) and h = 1 otherwise.  Bin k, centred at
-    c_k, keeps the scaled moments M_jk = sum_i w_i (d_i/sigma)^j / j! for j
-    < J = 8, d_i a count's offset from c_k.  With z_k = (x - c_k)/sigma,
-    Taylor's theorem in d_i/sigma gives
+    bins never outgrow the weights) and 1 otherwise.  Bin k, centred at c_k,
+    keeps the scaled moments M_jk = sum_i w_i (d_i/sigma)^j / j! for j < J =
+    8, d_i a count's offset from c_k.  With z_k = (x - c_k)/sigma, Taylor's
+    theorem in d_i/sigma gives
 
         P(m' <= x) = sum_k M_0k Phi(z_k) - phi(z_k) sum_{j >= 1} M_jk He_{j-1}(z_k)
         density    = (1/sigma) sum_k phi(z_k) sum_{j >= 0} M_jk He_j(z_k),
@@ -279,35 +284,30 @@ class _GaussianReadings:
     brackets m' by Cantelli's inequality at mean and var + sigma^2.
     """
 
-    def __init__(self, counts: np.ndarray, weights: np.ndarray, mean: float, var: float,
+    def __init__(self, first: float, weights: np.ndarray, mean: float, var: float,
                  sigma2: float):
         self.mean, self.sigma = mean, math.sqrt(sigma2)
         self.scale = math.sqrt(var + sigma2)
-        h = min(counts.size, math.floor(self.sigma / 1000.0))
-        if h < 16:
-            centres, moments = counts, weights[np.newaxis]
+        h, bins = weights.shape
+        centres = first + (h - 1) / 2.0 + h * np.arange(bins, dtype=float)
+        if h == 1:
+            moments = weights
         else:
-            bins = -(-counts.size // h)
-            grouped = np.zeros(bins * h)
-            grouped[: counts.size] = weights
-            grouped = grouped.reshape(bins, h)
-            centres = counts[0] + (h - 1) / 2.0 + h * np.arange(bins, dtype=float)
             offsets = (np.arange(h) - (h - 1) / 2.0) / self.sigma
             power, moments = np.ones(h), np.empty((8, bins))
             for j in range(8):
-                # no BLAS, as in _weighted_sum; at 31 counts a bin this is
-                # about 5 times faster than (grouped * power).sum(axis=1)
-                moments[j] = np.einsum("ki,i->k", grouped, power)
+                # no BLAS, as in _weighted_sum
+                moments[j] = np.einsum("ik,i->k", weights, power)
                 power = power * offsets / (j + 1)
         mirror = (-1.0) ** np.arange(len(moments))[:, np.newaxis]
         self._below, self._above = (centres, moments), (-centres, moments * mirror)
 
     def below(self, x: float) -> float:
-        return self._mass_density(x, *self._below)[0]
+        return self._mass_density(x, *self._below, density=False)[0]
 
     def above(self, x: float) -> float:
         # P(m' > x) = P(-m' < -x), and -m' is the same mixture around -m
-        return self._mass_density(-x, *self._above)[0]
+        return self._mass_density(-x, *self._above, density=False)[0]
 
     def lower_quantile(self, a: float) -> float:
         return self._solve(a, self._below, self.mean)
@@ -315,10 +315,16 @@ class _GaussianReadings:
     def upper_quantile(self, b: float) -> float:
         return -self._solve(b, self._above, -self.mean)
 
-    def _mass_density(self, x: float, centres: np.ndarray, moments: np.ndarray):
-        """The binned sums above at x: P(m' <= x) and its density."""
+    def _mass_density(self, x: float, centres: np.ndarray, moments: np.ndarray,
+                      density: bool = True):
+        """The binned sums above at x: P(m' <= x) and its density, or None
+        for the density unless ``density``.  Leaving the density out skips
+        no operation of the mass, so the mass is the same float either way.
+        """
         z = (x - centres) / self.sigma
         mass = _weighted_sum(special.ndtr(z), moments[0])
+        if len(moments) == 1 and not density:
+            return mass, None
         with np.errstate(over="ignore"):  # a z^2 past the float range has exp(-inf) = 0
             phi = -0.5 * z
             phi *= z
@@ -333,9 +339,12 @@ class _GaussianReadings:
                 for j in range(2, len(moments)):
                     he_prev, he = he, z * he - (j - 1) * he_prev
                     mass_series = mass_series + moments[j, live] * he_prev
-                    density_series += moments[j, live] * he
+                    if density:
+                        density_series += moments[j, live] * he
                 mass -= _weighted_sum(mass_series, phi[live]) / _SQRT_2PI
                 per_phi[live] += density_series
+            if not density:
+                return mass, None
             density = _weighted_sum(phi, per_phi) / (self.sigma * _SQRT_2PI)
         return mass, density
 
@@ -371,12 +380,77 @@ class _GaussianReadings:
         return x
 
 
-def _poisson_weights(rate: float) -> tuple[np.ndarray, np.ndarray]:
-    """Counts from rate - 12 sd to ``poisson_cut(rate)`` and their normalised
-    Poisson(rate) pmf."""
-    m = np.arange(max(0, math.floor(rate - 12.0 * math.sqrt(rate))), poisson_cut(rate) + 1.0)
-    w = poisson_pmf(m, rate)
-    return m, w / w.sum()
+def _bin_width(size: int, sigma2: float) -> int:
+    """Counts h per bin of ``_GaussianReadings`` over ``size`` counts at
+    noise variance ``sigma2``: floor(sigma/1000), capped at ``size``, where
+    that is at least 16, and 1 otherwise."""
+    h = min(size, math.floor(math.sqrt(sigma2) / 1000.0))
+    return h if h >= 16 else 1
+
+
+def _grouped(weights: np.ndarray, h: int) -> np.ndarray:
+    """``weights`` as an (h, bins) array: column k holds weights k h to
+    k h + h - 1, zero past the end (a view where h divides the size)."""
+    pad = -weights.size % h
+    if pad:
+        weights = np.concatenate((weights, np.zeros(pad)))
+    return weights.reshape(-1, h).T
+
+
+def _poisson_weights(rate: float, sigma2: float) -> tuple[float, np.ndarray]:
+    """(first, weights) of ``_GaussianReadings`` for a Poisson(rate) count
+    under noise variance ``sigma2``: the normalised pmf at the counts from
+    first = max(0, floor(rate - 12 sqrt(rate))) to ``poisson_cut(rate)``.
+
+    The pmf comes from the ratio recurrence w(m + 1) = w(m) rate/(m + 1),
+    with no exp or log-gamma, in blocks of W consecutive counts held as a
+    (W, blocks) array: W = h where the law bins and h <= isqrt(n) for the n
+    counts, so the array is the bins themselves, and W = isqrt(n) otherwise,
+    the weights then regrouped in count order; so the loop has at most
+    isqrt(n) rows.  Every block starts at 1, row i + 1 is row i times
+    rate/count, one divide and one multiply across all blocks, and the last
+    block's entries past the cut are zeroed.  Row W is each block's ratio to
+    the next, and their cumulative product each block's anchor, w(its first
+    count)/w(first).  The sum normalises, which cancels the absolute scale.
+
+    Error: two weights d counts apart carry 2 rounding factors 1 + delta,
+    |delta| <= eps/2, per step between them, one per block boundary between
+    them (c <= d), and one each for the anchor's product and the normalising
+    divide.  So their ratio is within (2d + c + 4) eps/2 <= (3d + 4) eps/2
+    of the exact one, to first order in eps, and the weights sum to 1
+    within n eps.  Against 40-digit products the largest error measured at
+    12 rates from 0.3 to 1e7 was 1.5e-14 (rate 1e7), where the cancelling
+    exp(m ln rate - lnGamma(m + 1) - rate) of ``poisson_pmf`` gives ratios
+    up to 4.4e-8 off.
+
+    Range: every row and anchor is a ratio w(m)/w(m') of two counts m' <= m
+    of the support.  None overflows: the largest, w(mode)/w(first), is about
+    e^72 (12 sd) and at most about e^rate where first is 0 (rate <= 144).
+    The smallest, w(cut)/w(mode), is above e^-90 for rate >= 1 and about
+    e^-335 at 1e-6; only rates below 1e-13 take it out of the normal range,
+    where w(mode) = w(0) ~ 1 and the top counts' exact weights are as small.
+    """
+    first = max(0, math.floor(rate - 12.0 * math.sqrt(rate)))
+    size = poisson_cut(rate) + 1 - first
+    h = _bin_width(size, sigma2)
+    width = h if 1 < h <= math.isqrt(size) else math.isqrt(size)
+    blocks = -(-size // width)
+    w = np.empty((width + 1, blocks))
+    w[0] = 1.0
+    count, ratio = float(first) + width * np.arange(blocks, dtype=float), np.empty(blocks)
+    for i in range(width):
+        count += 1.0
+        np.divide(rate, count, out=ratio)
+        np.multiply(w[i], ratio, out=w[i + 1])
+    anchors = np.ones(blocks)
+    np.cumprod(w[width, :-1], out=anchors[1:])
+    w = w[:width]
+    w *= anchors
+    w[size - width * (blocks - 1):, -1] = 0.0  # past the cut
+    if width != h:
+        w = _grouped(w.T.ravel()[:size], h)
+    w /= w.sum()
+    return float(first), w
 
 
 @lru_cache(maxsize=8)
@@ -404,13 +478,15 @@ def _readings(config: RunConfig):
     if isinstance(config.source, PoissonianSource):
         rate = config.source.mu * xi
         if isinstance(noise, GaussianNoise):
-            return _GaussianReadings(*_poisson_weights(rate), rate, rate, noise.sigma2)
+            return _GaussianReadings(*_poisson_weights(rate, noise.sigma2), rate, rate,
+                                     noise.sigma2)
         # signal and dark counts add to one Poisson(rate + gamma) reading
         return _MixtureReadings(np.ones(1), rate + gamma, 0.0, 0.0)
     pnd = config.source.pnd
-    counts, w, mean, var = _thinned(pnd.probs.tobytes(), pnd.tail_mass, xi)
+    _, w, mean, var = _thinned(pnd.probs.tobytes(), pnd.tail_mass, xi)
     if isinstance(noise, GaussianNoise):
-        return _GaussianReadings(counts, w, mean, var, noise.sigma2)
+        return _GaussianReadings(0.0, _grouped(w, _bin_width(w.size, noise.sigma2)), mean, var,
+                                 noise.sigma2)
     return _MixtureReadings(w, gamma, mean, var)
 
 

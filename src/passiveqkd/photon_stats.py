@@ -144,7 +144,14 @@ def poisson_cut(mu: float) -> int:
 
 
 def poisson_pmf(n, mu: float):
-    """Poisson(mu) pmf at photon numbers n: exp(n ln mu - lnGamma(n + 1) - mu)."""
+    """Poisson(mu) pmf at photon numbers n: exp(n ln mu - lnGamma(n + 1) - mu).
+
+    The exponent subtracts terms of about mu ln mu, so its rounding grows
+    with the mean: the largest relative error measured over mu +- 6 sd is
+    2.2e-12 at mu = 1e3, 4.3e-10 at 1e5 and 4.3e-8 at 1e7.  Only
+    ``poisson_pnd`` calls it; the Monte Carlo's Gaussian-noise law builds
+    its Poisson weights from a ratio recurrence instead.
+    """
     return np.exp(special.xlogy(n, mu) - special.gammaln(n + 1) - mu)
 
 

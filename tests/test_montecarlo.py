@@ -3,6 +3,7 @@
 import math
 import warnings
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from passiveqkd import (
     run_pipeline,
 )
 from passiveqkd._special import special
+from passiveqkd.photon_stats import poisson_cut
 
 SCHEME = PassiveSchemeParams(t_B=0.9, t_D=0.76, lam=3.42e-7, mu=1000.0)
 
@@ -445,6 +447,20 @@ def _binned(law):
     return len(law._below[1]) > 1
 
 
+def _reference_poisson_weights(rate):
+    """The Gaussian law's counts for a Poisson(rate) count, from max(0,
+    floor(rate - 12 sd)) to ``poisson_cut(rate)``, and the normalised pmf at
+    them by a plain ratio product outward from the mode: w(m + 1) = w(m)
+    rate/(m + 1) and w(m - 1) = w(m) m/rate."""
+    first = max(0, math.floor(rate - 12.0 * math.sqrt(rate)))
+    counts = np.arange(first, poisson_cut(rate) + 1.0)
+    mode = math.floor(rate) - first
+    up = np.cumprod(rate / counts[mode + 1:])
+    down = np.cumprod(counts[mode:0:-1] / rate)[::-1]
+    weights = np.concatenate([down, [1.0], up])
+    return counts, weights / math.fsum(weights)
+
+
 def _direct_sums(law, counts, weights, x):
     """P(m' <= x), P(m' > x) and the density at x summed over every count."""
     z = (x - counts) / law.sigma
@@ -473,9 +489,67 @@ def test_binned_gaussian_law_matches_the_direct_sum_over_every_count(seed):
     source, scheme = _poissonian(rng, 1e3, 1e8)
     law = _law(source, GaussianNoise(10.0 ** rng.uniform(9, 12)), scheme)
     assert _binned(law)
-    counts, weights = montecarlo._poisson_weights(source.mu * scheme.xi)
+    counts, weights = _reference_poisson_weights(source.mu * scheme.xi)
     u = (-30.0, -10.0, -3.0, -1.0, 0.0, 1.0, 3.0, 10.0, 30.0, *rng.uniform(-30, 30, 3))
     _assert_matches_direct_sums(law, counts, weights, [law.mean + law.scale * v for v in u])
+
+
+def _exact_ratios(rate, mode, picks):
+    """{m: w(m)/w(mode)} of Poisson(rate) at the counts ``picks``: the
+    product of rate/k over the counts k between, in 40-digit decimal."""
+    out, lo, hi = {}, min(picks), max(picks)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        r = Decimal(rate)  # the float's exact value
+        for step in (1, -1):
+            ratio, m = Decimal(1), mode
+            while lo <= m <= hi:
+                if m in picks:
+                    out[m] = ratio
+                ratio = ratio * r / (m + 1) if step == 1 else ratio * m / r
+                m += step
+    return out
+
+
+def test_poisson_weights_are_exact_ratio_products_within_their_stated_bound():
+    # mode 0 (rates below 1), lower edge 0 (rates near 144), an integer rate
+    # (two modes) and log-uniform rates to 1e7: at about 50 counts each,
+    # w(m)/w(mode) against its exact product of rate/k, within the stated
+    # (3d + 4) eps/2 plus eps for the division here.  The test's own
+    # reference weights are held to the same bound, so the direct-sum oracle
+    # above does not rest on the code it checks
+    rng = np.random.default_rng(29)
+    for rate in (0.3, 0.9, 143.2, 144.0, 144.6, 1e5, 1e7, *10.0 ** rng.uniform(0, 7, 4)):
+        counts, reference = _reference_poisson_weights(rate)
+        first, size, mode = int(counts[0]), counts.size, math.floor(rate)
+        picks = {first, mode, min(mode + 1, int(counts[-1])), int(counts[-1]),
+                 *np.linspace(first, counts[-1], 40).astype(int).tolist(),
+                 *rng.integers(first, counts[-1] + 1, 6).tolist()}
+        exact = _exact_ratios(rate, mode, picks)
+        built = []
+        for sigma2 in (1.0, 1e9, 1e14):  # h = 1, bins of min(31, n) and of min(n, 10^4)
+            at, weights = montecarlo._poisson_weights(rate, sigma2)
+            assert at == first and weights.size >= size
+            weights = weights.T.ravel()
+            assert not weights[size:].any()
+            built.append(weights[:size])
+        for weights in (*built, reference):
+            assert abs(math.fsum(weights) - 1.0) <= size * EPS, rate
+            for m, want in exact.items():
+                d = abs(m - mode)
+                got = Decimal(weights[m - first] / weights[mode - first])
+                assert abs(got / want - 1) <= (3 * d + 6) * EPS / 2, (rate, m, got, want)
+
+
+@pytest.mark.parametrize("sigma2", [1e3, 1e9, 1e12])
+def test_mass_only_gaussian_tails_match_the_mass_and_density_sum_bit_for_bit(sigma2):
+    # below and above skip the density, and with it nothing of the mass
+    law = _law(PoissonianSource(1e7 / ORACLE_SCHEME.xi), GaussianNoise(sigma2))
+    assert _binned(law) == (sigma2 > 1e3)
+    for u in (-math.inf, -40.0, -10.0, -3.0, -0.5, 0.0, 0.5, 3.0, 10.0, 40.0, math.inf):
+        x = law.mean + law.scale * u
+        assert law.below(x).hex() == law._mass_density(x, *law._below)[0].hex(), x
+        assert law.above(x).hex() == law._mass_density(-x, *law._above)[0].hex(), x
 
 
 @pytest.mark.parametrize("seed", range(6))
