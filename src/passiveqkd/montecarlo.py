@@ -34,11 +34,13 @@ monitor reading m' enters, and the run never simulates the pulses:
   sigma/1000) consecutive counts once h reaches 16, each bin by a Taylor
   series in its first 8 moments with a stated truncation bound, so an
   evaluation costs the number of bins rather than the 24 sqrt(mu xi) counts.
-  A Poissonian source's weights come from the ratio recurrence w(m + 1) =
-  w(m) mu xi/(m + 1), with no exp or log-gamma, one vectorised step per row
-  of a blocks array that has at most sqrt(24 sqrt(mu xi)) rows: at mu xi =
-  1e7 and sigma^2 = 1e9 the weights and the moments take about 0.55 ms and
-  a run about 1.3 ms (2-core x86_64).
+  A Poissonian source's weights come from ``photon_stats._poisson_blocks``,
+  the one recurrence that builds every Poisson pmf of the package,
+  ``poisson_pnd``'s too: w(m + 1) = w(m) mu xi/(m + 1), with no exp or
+  log-gamma, one vectorised step per row of a (bin width, bins) array, so
+  at most isqrt(24 sqrt(mu xi)) steps: at mu xi = 1e7 and sigma^2 = 1e9
+  the weights and the moments take about 0.55 ms and a run about 1.3 ms
+  (2-core x86_64).
 * *Conditional uniformity.*  Given A and B, the other M - 2 uniforms are iid
   on (A, 1 - B), and m' lies in the window [m1, m2] exactly when U lies in
   (F(m1-), F(m2)].  So k' is the two extremes' own indicators plus
@@ -71,7 +73,7 @@ from .photon_stats import (
     PassiveSchemeParams,
     PhotonNumberDistribution,
     bernoulli_transform,
-    poisson_cut,
+    _poisson_blocks,
 )
 
 __all__ = [
@@ -259,8 +261,9 @@ class _GaussianReadings:
     h counts from first + k h, zero past the support.
 
     The law is summed over these bins, h from ``_bin_width``: floor(sigma /
-    1000) where that is at least 16 (capped at the support's size, so the
-    bins never outgrow the weights) and 1 otherwise.  Bin k, centred at c_k,
+    1000) where that is at least 16 and 1 otherwise, capped so that the
+    bins never outgrow the weights (at the support's size for an explicit
+    source, at its square root for a Poissonian one).  Bin k, centred at c_k,
     keeps the scaled moments M_jk = sum_i w_i (d_i/sigma)^j / j! for j < J =
     8, d_i a count's offset from c_k.  With z_k = (x - c_k)/sigma, Taylor's
     theorem in d_i/sigma gives
@@ -380,7 +383,7 @@ class _GaussianReadings:
         return x
 
 
-def _bin_width(size: int, sigma2: float) -> int:
+def _bin_width(size: float, sigma2: float) -> int:
     """Counts h per bin of ``_GaussianReadings`` over ``size`` counts at
     noise variance ``sigma2``: floor(sigma/1000), capped at ``size``, where
     that is at least 16, and 1 otherwise."""
@@ -397,66 +400,10 @@ def _grouped(weights: np.ndarray, h: int) -> np.ndarray:
     return weights.reshape(-1, h).T
 
 
-def _poisson_weights(rate: float, sigma2: float) -> tuple[float, np.ndarray]:
-    """(first, weights) of ``_GaussianReadings`` for a Poisson(rate) count
-    under noise variance ``sigma2``: the normalised pmf at the counts from
-    first = max(0, floor(rate - 12 sqrt(rate))) to ``poisson_cut(rate)``.
-
-    The pmf comes from the ratio recurrence w(m + 1) = w(m) rate/(m + 1),
-    with no exp or log-gamma, in blocks of W consecutive counts held as a
-    (W, blocks) array: W = h where the law bins and h <= isqrt(n) for the n
-    counts, so the array is the bins themselves, and W = isqrt(n) otherwise,
-    the weights then regrouped in count order; so the loop has at most
-    isqrt(n) rows.  Every block starts at 1, row i + 1 is row i times
-    rate/count, one divide and one multiply across all blocks, and the last
-    block's entries past the cut are zeroed.  Row W is each block's ratio to
-    the next, and their cumulative product each block's anchor, w(its first
-    count)/w(first).  The sum normalises, which cancels the absolute scale.
-
-    Error: two weights d counts apart carry 2 rounding factors 1 + delta,
-    |delta| <= eps/2, per step between them, one per block boundary between
-    them (c <= d), and one each for the anchor's product and the normalising
-    divide.  So their ratio is within (2d + c + 4) eps/2 <= (3d + 4) eps/2
-    of the exact one, to first order in eps, and the weights sum to 1
-    within n eps.  Against 40-digit products the largest error measured at
-    12 rates from 0.3 to 1e7 was 1.5e-14 (rate 1e7), where the cancelling
-    exp(m ln rate - lnGamma(m + 1) - rate) of ``poisson_pmf`` gives ratios
-    up to 4.4e-8 off.
-
-    Range: every row and anchor is a ratio w(m)/w(m') of two counts m' <= m
-    of the support.  None overflows: the largest, w(mode)/w(first), is about
-    e^72 (12 sd) and at most about e^rate where first is 0 (rate <= 144).
-    The smallest, w(cut)/w(mode), is above e^-90 for rate >= 1 and about
-    e^-335 at 1e-6; only rates below 1e-13 take it out of the normal range,
-    where w(mode) = w(0) ~ 1 and the top counts' exact weights are as small.
-    """
-    first = max(0, math.floor(rate - 12.0 * math.sqrt(rate)))
-    size = poisson_cut(rate) + 1 - first
-    h = _bin_width(size, sigma2)
-    width = h if 1 < h <= math.isqrt(size) else math.isqrt(size)
-    blocks = -(-size // width)
-    w = np.empty((width + 1, blocks))
-    w[0] = 1.0
-    count, ratio = float(first) + width * np.arange(blocks, dtype=float), np.empty(blocks)
-    for i in range(width):
-        count += 1.0
-        np.divide(rate, count, out=ratio)
-        np.multiply(w[i], ratio, out=w[i + 1])
-    anchors = np.ones(blocks)
-    np.cumprod(w[width, :-1], out=anchors[1:])
-    w = w[:width]
-    w *= anchors
-    w[size - width * (blocks - 1):, -1] = 0.0  # past the cut
-    if width != h:
-        w = _grouped(w.T.ravel()[:size], h)
-    w /= w.sum()
-    return float(first), w
-
-
 @lru_cache(maxsize=8)
 def _thinned(probs: bytes, tail_mass: float, xi: float):
-    """Counts, normalised weights, mean and variance of a photon-number
-    distribution thinned by ``xi``; the arrays are read-only.
+    """Normalised weights, mean and variance of a photon-number distribution
+    thinned by ``xi``; the weights are read-only.
 
     Keyed by the distribution's content, not its identity, so runs on equal
     sources thin once however each source was built.
@@ -467,8 +414,8 @@ def _thinned(probs: bytes, tail_mass: float, xi: float):
     counts = np.arange(w.size, dtype=float)
     mean = _weighted_sum(counts.copy(), w)
     var = _weighted_sum((counts - mean) ** 2, w)
-    counts.flags.writeable = w.flags.writeable = False
-    return counts, w, mean, var
+    w.flags.writeable = False
+    return w, mean, var
 
 
 def _readings(config: RunConfig):
@@ -478,12 +425,13 @@ def _readings(config: RunConfig):
     if isinstance(config.source, PoissonianSource):
         rate = config.source.mu * xi
         if isinstance(noise, GaussianNoise):
-            return _GaussianReadings(*_poisson_weights(rate, noise.sigma2), rate, rate,
-                                     noise.sigma2)
+            # the builder caps the bins at the square root of its support
+            return _GaussianReadings(*_poisson_blocks(rate, _bin_width(math.inf, noise.sigma2)),
+                                     rate, rate, noise.sigma2)
         # signal and dark counts add to one Poisson(rate + gamma) reading
         return _MixtureReadings(np.ones(1), rate + gamma, 0.0, 0.0)
     pnd = config.source.pnd
-    _, w, mean, var = _thinned(pnd.probs.tobytes(), pnd.tail_mass, xi)
+    w, mean, var = _thinned(pnd.probs.tobytes(), pnd.tail_mass, xi)
     if isinstance(noise, GaussianNoise):
         return _GaussianReadings(0.0, _grouped(w, _bin_width(w.size, noise.sigma2)), mean, var,
                                  noise.sigma2)

@@ -23,6 +23,7 @@ from passiveqkd import (
     ThresholdWindow,
     clopper_pearson,
     montecarlo,
+    photon_stats,
     poisson_pnd,
     run,
     run_pipeline,
@@ -483,8 +484,8 @@ def _assert_matches_direct_sums(law, counts, weights, xs):
 @pytest.mark.parametrize("seed", range(6))
 def test_binned_gaussian_law_matches_the_direct_sum_over_every_count(seed):
     # sigma^2 in [1e9, 1e12] puts every case on the binned path (h = 31 to
-    # 1000, capped at the support), with mu xi in [1e3, 1e8]; x spans both
-    # tails out to 30 sd
+    # 1000, capped at the support's square root), with mu xi in [1e3, 1e8];
+    # x spans both tails out to 30 sd
     rng = np.random.default_rng(1000 + seed)
     source, scheme = _poissonian(rng, 1e3, 1e8)
     law = _law(source, GaussianNoise(10.0 ** rng.uniform(9, 12)), scheme)
@@ -513,13 +514,15 @@ def _exact_ratios(rate, mode, picks):
 
 def test_poisson_weights_are_exact_ratio_products_within_their_stated_bound():
     # mode 0 (rates below 1), lower edge 0 (rates near 144), an integer rate
-    # (two modes) and log-uniform rates to 1e7: at about 50 counts each,
-    # w(m)/w(mode) against its exact product of rate/k, within the stated
-    # (3d + 4) eps/2 plus eps for the division here.  The test's own
-    # reference weights are held to the same bound, so the direct-sum oracle
-    # above does not rest on the code it checks
+    # (two modes) and log-uniform rates to the Table-2 mean: at about 50
+    # counts each, w(m)/w(mode) against its exact product of rate/k, within
+    # the stated (3d + 4) eps/2 plus eps for the division here, for the
+    # builder's blocks and for ``poisson_pnd``.  The test's own reference
+    # weights are held to the same bound, so the direct-sum oracle above
+    # does not rest on the code it checks
     rng = np.random.default_rng(29)
-    for rate in (0.3, 0.9, 143.2, 144.0, 144.6, 1e5, 1e7, *10.0 ** rng.uniform(0, 7, 4)):
+    for rate in (0.3, 0.9, 3.7, 143.2, 144.0, 144.6, 1e5, 1e7, 1.462e7,
+                 *10.0 ** rng.uniform(0, 7, 4)):
         counts, reference = _reference_poisson_weights(rate)
         first, size, mode = int(counts[0]), counts.size, math.floor(rate)
         picks = {first, mode, min(mode + 1, int(counts[-1])), int(counts[-1]),
@@ -527,18 +530,33 @@ def test_poisson_weights_are_exact_ratio_products_within_their_stated_bound():
                  *rng.integers(first, counts[-1] + 1, 6).tolist()}
         exact = _exact_ratios(rate, mode, picks)
         built = []
-        for sigma2 in (1.0, 1e9, 1e14):  # h = 1, bins of min(31, n) and of min(n, 10^4)
-            at, weights = montecarlo._poisson_weights(rate, sigma2)
-            assert at == first and weights.size >= size
+        for width in (1, 31, 10**4):  # h = 1, bins of min(31, isqrt(n)) and of isqrt(n)
+            at, weights = photon_stats._poisson_blocks(rate, width)
+            assert at == first and weights.shape[0] == min(width, math.isqrt(size))
             weights = weights.T.ravel()
             assert not weights[size:].any()
             built.append(weights[:size])
-        for weights in (*built, reference):
+        pnd = poisson_pnd(rate)
+        assert pnd.probs.size == first + size and not pnd.probs[:first].any()
+        for weights in (*built, pnd.probs[first:], reference):
             assert abs(math.fsum(weights) - 1.0) <= size * EPS, rate
             for m, want in exact.items():
                 d = abs(m - mode)
                 got = Decimal(weights[m - first] / weights[mode - first])
                 assert abs(got / want - 1) <= (3 * d + 6) * EPS / 2, (rate, m, got, want)
+
+
+@pytest.mark.parametrize("mu", [0.4, 200.0, 1350.0, 1.462e7])
+def test_poisson_pnd_and_the_gaussian_law_share_one_pmf_bit_for_bit(mu):
+    # at h = 1 the Gaussian law's weights are poisson_pnd's probabilities
+    # from the support's first count on
+    source = PoissonianSource(mu)
+    law = _law(source, GaussianNoise(1.0))
+    assert not _binned(law)
+    probs = poisson_pnd(source.mu * ORACLE_SCHEME.xi).probs
+    first = probs.size - law._below[1].size
+    assert law._below[0][0] == first
+    assert probs[first:].tobytes() == law._below[1].tobytes()
 
 
 @pytest.mark.parametrize("sigma2", [1e3, 1e9, 1e12])
@@ -595,8 +613,8 @@ def test_explicit_gaussian_run_on_the_binned_path_matches_its_oracles(per_pulse)
     law = _law(source, noise)
     assert _binned(law)
     pnd = source.pnd
-    counts, weights, _, _ = montecarlo._thinned(pnd.probs.tobytes(), pnd.tail_mass,
-                                                ORACLE_SCHEME.xi)
+    weights, _, _ = montecarlo._thinned(pnd.probs.tobytes(), pnd.tail_mass, ORACLE_SCHEME.xi)
+    counts = np.arange(weights.size, dtype=float)
     _assert_matches_direct_sums(law, counts, weights,
                                 [law.mean + law.scale * v for v in (-20.0, -5.0, 0.0, 5.0, 20.0)])
     p_values = _oracle_p_values(source, source, noise, 2000, True, per_pulse, seed0=210_000)
