@@ -57,9 +57,7 @@ import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from ._special import special
+from ._special import np, special
 from .confidence import clopper_pearson, minmax_coverage_lower
 from .noise_bounds import (
     GaussianNoise,

@@ -18,9 +18,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
-import numpy as np
-
-from ._special import special
+from ._special import np, special
 
 __all__ = [
     "PoissonNoise",

@@ -11,9 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from ._special import special
+from ._special import np, special
 
 __all__ = [
     "PhotonNumberDistribution",

@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
+from ._special import np
 
 __all__ = ["WorstCaseResult", "coefficient_a", "maximize_ratio"]
 

@@ -556,6 +556,54 @@ def test_library_imports_no_scipy_stats_or_optimize():
         assert proc.stdout.split() == ["0", str(loaded)], (argv, proc.stdout)
 
 
+def test_numpy_loads_on_the_first_array_call():
+    # the apn and trusted rate modes are closed forms in math; validate computes nothing
+    env = dict(os.environ, PYTHONPATH=str(Path(passiveqkd.__file__).parents[1]))
+    names = list(bundled_scenarios())
+    math_only = [n for n in names if cli.load_scenario(n)["mode"] in
+                 ("apn-bb84", "trusted-bb84", "trusted-decoy")]
+    assert len(math_only) == 7
+    commands = [
+        [],
+        [["validate", n] for n in names] + [["list-scenarios"]],
+        [["run", n] for n in math_only] + [["run", "realistic-pna"]],
+    ]
+    for argvs in commands:
+        code = (
+            "import contextlib, os, sys, passiveqkd, passiveqkd.cli\n"
+            "print(0, 'numpy' in sys.modules)\n"
+            f"for argv in {argvs!r}:\n"
+            "    with open(os.devnull, 'w') as out, contextlib.redirect_stdout(out):\n"
+            "        status = passiveqkd.cli.main(argv)\n"
+            "    print(status, 'numpy' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        expected = ["0 False"] + [f"0 {argv == ['run', 'realistic-pna']}" for argv in argvs]
+        assert proc.stdout.splitlines() == expected
+
+
+def test_lazy_module_binds_each_name_at_its_first_lookup(monkeypatch):
+    import numpy
+    import scipy.special
+
+    from passiveqkd._special import _Lazy, np, special
+
+    for shared, module, name in ((np, numpy, "exp"), (special, scipy.special, "pdtr")):
+        assert getattr(shared, name) is vars(shared)[name] is getattr(module, name)
+        lazy = _Lazy(module.__name__)
+        assert vars(lazy) == {"_module": module.__name__}
+        assert getattr(lazy, name) is vars(lazy)[name] is getattr(module, name)
+        with monkeypatch.context() as m:
+            m.setattr(_Lazy, "__getattr__", lambda self, name: pytest.fail(name))
+            assert getattr(lazy, name) is getattr(module, name)
+        with pytest.raises(AttributeError):
+            lazy.no_such_name
+        assert vars(lazy).keys() == {"_module", name}
+
+
 @pytest.mark.parametrize(
     "command",
     [["run", "ideal-apn"], ["list-scenarios"], ["validate", "ideal-apn"]],
