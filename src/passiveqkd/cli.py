@@ -316,10 +316,8 @@ _TOP_KEYS = {*_EVERY_MODE, *_PIPELINE_REQUIRES, *_PIPELINE_READS,
 
 
 def _format_row(L, rate, Q, E, delta_bar, untagged) -> str:
-    def fmt(x):
-        return "" if x is None else f"{x:.10g}"
-
-    return "\t".join(fmt(v) for v in (L, rate, Q, E, delta_bar, untagged))
+    values = (L, rate, Q, E, delta_bar, untagged)
+    return "\t".join(["" if x is None else f"{x:.10g}" for x in values])
 
 
 def _run(s):
@@ -352,7 +350,8 @@ def _run(s):
             # with lam fixed the scheme, and so the rate's multiphoton bound,
             # serves every distance; an optimized lam gives a new scheme at each
             if s.optimized:
-                scheme = replace(scheme, lam=_optimized_lam(scheme.mu, scheme.t_B, ch))
+                scheme = PassiveSchemeParams(
+                    scheme.t_B, scheme.t_D, _optimized_lam(scheme.mu, scheme.t_B, ch), scheme.mu)
             if rate is None or s.optimized:
                 rate = mode_rate(s, scheme, window, untagged)
             p = rate(ch)

@@ -17,6 +17,7 @@ bracketed photon-number pmfs, and on a trusted source with exact ones.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -73,7 +74,9 @@ class ChannelParams:
         return 10.0 ** (-self.alpha_prime * self.L / 10.0)
 
     def at_distance(self, L: float) -> "ChannelParams":
-        return replace(self, L=L)
+        # the constructor, not dataclasses.replace: the same checks at a
+        # fraction of the cost on a curve's per-distance path
+        return ChannelParams(self.eta_B, self.alpha_prime, self.Y0, self.e_det, self.e0, L)
 
 
 @dataclass(frozen=True)
@@ -97,13 +100,16 @@ class DecoySettings:
             raise ValueError("f_ec must be >= 1")
 
 
-@dataclass(frozen=True)
-class RatePoint:
-    L: float  # km
-    rate: float  # secure key bits per pulse, floored at 0
-    delta_bar: float
-    Q: float  # gain
-    E: float  # QBER
+class RatePoint(namedtuple("RatePoint", "L rate delta_bar Q E")):
+    """One point of a key-rate curve: the fiber length L (km), the secure
+    key rate (bits per pulse, floored at 0), the tagged fraction Delta-bar,
+    the gain Q and the QBER E.
+
+    An immutable tuple, built at tuple cost once per distance; ``_replace``
+    makes a modified copy.
+    """
+
+    __slots__ = ()
 
 
 def binary_entropy(x: float) -> float:
@@ -160,6 +166,8 @@ def tagged_rate(mu_p2: float, p_multi: float, ch: ChannelParams, f_ec: float = 1
     p_multi / Q.  The APN monitor, the photon-number analyzer and the
     trusted source differ only in the bound they pass here.
     """
+    if not 0.0 <= p_multi < math.inf:
+        raise ValueError("p_multi must be non-negative and finite")
     Q, E = channel_gain_qber(mu_p2, ch)
     delta_bar = p_multi / Q
     return RatePoint(ch.L, gllp_rate(Q, E, min(1.0, delta_bar), f_ec), delta_bar, Q, E)
@@ -214,7 +222,7 @@ def pna_rate_bb84(
         multi_worst = 0.0 if w.m2 < 2 else 1.0
     point = tagged_rate(scheme.mu * scheme.eta, delta + (1.0 - delta) * multi_worst, ch, f_ec)
     # all tagged: no key, even where Q = Y0 + click exceeds 1 and so Delta-bar < 1
-    return replace(point, rate=0.0) if delta >= 1.0 else point
+    return point._replace(rate=0.0) if delta >= 1.0 else point
 
 
 def _binom_pmf_range(n: int, lam: float, m1: float, m2: float) -> tuple[float, float]:
@@ -345,9 +353,8 @@ def decoy_rate_untagged(
     the vacuum and single-photon pmfs enter the elimination as their
     bracket over m, and c is the largest n >= 2 ratio p_d(n) / p_s(n).
     """
-    for omd in (one_minus_delta_s, one_minus_delta_d):
-        if not 0.0 <= omd <= 1.0:
-            raise ValueError("untagged fractions must be in [0, 1]")
+    if not (0.0 <= one_minus_delta_s <= 1.0 and 0.0 <= one_minus_delta_d <= 1.0):
+        raise ValueError("untagged fractions must be in [0, 1]")
     m1, m2 = max(0.0, w.m1), w.m2
     (mu_s, p_s), (mu_d, p_d), c = _untagged_decoy_terms(scheme, settings, m1, m2)
     Q_s, E_s = channel_gain_qber(mu_s, ch)
@@ -356,7 +363,7 @@ def decoy_rate_untagged(
         (Q_s, E_s, one_minus_delta_s, p_s), (Q_d, E_d, one_minus_delta_d, p_d),
         c, ch.Y0, ch.e0, settings.f_ec,
     )
-    return RatePoint(L=ch.L, rate=rate, delta_bar=1.0 - one_minus_delta_s, Q=Q_s, E=E_s)
+    return RatePoint(ch.L, rate, 1.0 - one_minus_delta_s, Q_s, E_s)
 
 
 def decoy_rate_trusted(
@@ -368,8 +375,8 @@ def decoy_rate_trusted(
     e^-nu and p(1) = nu e^-nu, each its own (lo, hi) bracket.  Their ratio
     (nu_d / nu_s)^n e^(nu_s - nu_d) falls with n, so c is its value at n = 2.
     """
-    if not 0.0 < nu_d < nu_s:
-        raise ValueError("need 0 < nu_d < nu_s")
+    if not 0.0 < nu_d < nu_s < math.inf:
+        raise ValueError("need 0 < nu_d < nu_s < inf")
     Q_s, E_s = channel_gain_qber(nu_s, ch)
     Q_d, E_d = channel_gain_qber(nu_d, ch)
     p0_s, p0_d = math.exp(-nu_s), math.exp(-nu_d)
@@ -378,4 +385,4 @@ def decoy_rate_trusted(
         (Q_d, E_d, 1.0, ((p0_d,) * 2, (nu_d * p0_d,) * 2)),
         (nu_d / nu_s) ** 2 * _exp(nu_s - nu_d), ch.Y0, ch.e0, f_ec,
     )
-    return RatePoint(L=ch.L, rate=rate, delta_bar=0.0, Q=Q_s, E=E_s)
+    return RatePoint(ch.L, rate, 0.0, Q_s, E_s)

@@ -43,14 +43,19 @@ def coefficient_a(k, eta: float):
     """P(more than one of k photons survives attenuation eta).
 
     a_k = 1 - (1-eta)^k - k*eta*(1-eta)^(k-1), evaluated via expm1/log1p so
-    small eta and large k do not lose precision.  Accepts scalar or array k.
+    small eta and large k do not lose precision.  Accepts scalar or array k;
+    an ``int`` k is evaluated in ``math``, as ``maximize_ratio`` does, and
+    may differ from the array value in the last bits of the larger term.
     """
-    k_arr = np.asarray(k, dtype=float)
-    if not np.all((2 <= k_arr) & (k_arr < np.inf)):
+    is_int = isinstance(k, int)
+    k_arr = k if is_int else np.asarray(k, dtype=float)
+    if not (2 <= k if is_int else np.all((2 <= k_arr) & (k_arr < np.inf))):
         raise ValueError("k must be finite and >= 2")
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must be in (0, 1)")
     log1m = math.log1p(-eta)
+    if is_int:
+        return -math.expm1(k * log1m) - k * eta * math.exp((k - 1.0) * log1m)
     a = -np.expm1(k_arr * log1m) - k_arr * eta * np.exp((k_arr - 1) * log1m)
     return float(a) if np.isscalar(k) or k_arr.ndim == 0 else a
 

@@ -16,6 +16,7 @@ from passiveqkd import (
     DecoySettings,
     PassiveSchemeParams,
     PhotonNumberDistribution,
+    RatePoint,
     ThresholdWindow,
     apn_delta_bar,
     bernoulli_transform,
@@ -64,6 +65,31 @@ def test_channel_attenuates_with_distance():
     Qs = [channel_gain_qber(0.1, GYS.at_distance(L))[0] for L in (0.0, 50.0, 100.0)]
     assert Qs[0] > Qs[1] > Qs[2]
     assert GYS.at_distance(10.0).eta_f == pytest.approx(10 ** (-0.21), rel=1e-12)
+
+
+def test_at_distance_copies_every_field_and_rate_point_is_an_immutable_tuple():
+    # every field set off its default, so a field that a rewrite of
+    # at_distance drops would show as its default
+    ch = ChannelParams(eta_B=0.3, alpha_prime=0.25, Y0=1e-5, e_det=0.02, e0=0.4, L=7.0)
+    assert ch.at_distance(42.0) == ChannelParams(0.3, 0.25, 1e-5, 0.02, 0.4, 42.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="L must"):
+            ch.at_distance(bad)
+
+    point = RatePoint(1.0, 2.0, 3.0, 4.0, 5.0)
+    assert RatePoint._fields == ("L", "rate", "delta_bar", "Q", "E")
+    assert repr(point) == "RatePoint(L=1.0, rate=2.0, delta_bar=3.0, Q=4.0, E=5.0)"
+    assert point._replace(rate=0.0) == RatePoint(1.0, 0.0, 3.0, 4.0, 5.0)
+    for name in ("rate", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(point, name, 0.0)
+
+
+def test_tagged_rate_rejects_p_multi_by_name():
+    # min(1.0, nan) is 1.0: an unchecked NaN would pass as rate 0, delta_bar nan
+    for bad in (math.nan, -1e-3, math.inf):
+        with pytest.raises(ValueError, match="p_multi"):
+            tagged_rate(0.5, bad, GYS)
 
 
 def test_gllp_rate_ideal_case():

@@ -14,12 +14,14 @@ from passiveqkd import (
     ThresholdWindow,
     channel_gain_qber,
     coefficient_a,
+    decoy_rate_trusted,
     gaussian_b123,
     gllp_rate,
     maximize_ratio,
     poisson_bbar,
     poisson_multiphoton,
     poisson_pnd,
+    tagged_rate,
 )
 
 NAN, INF = math.nan, math.inf
@@ -51,6 +53,10 @@ WINDOW = ThresholdWindow(40.0, 60.0)
         pytest.param(lambda: poisson_bbar(WINDOW, NAN), id="bbar-gamma-nan"),
         pytest.param(lambda: coefficient_a(NAN, 0.1), id="coefficient_a-k-nan"),
         pytest.param(lambda: coefficient_a([2, INF], 0.1), id="coefficient_a-k-inf"),
+        pytest.param(lambda: coefficient_a(2, NAN), id="coefficient_a-int-k-eta-nan"),
+        pytest.param(lambda: tagged_rate(0.5, NAN, CHANNEL), id="tagged_rate-p_multi-nan"),
+        pytest.param(lambda: tagged_rate(0.5, -1e-3, CHANNEL), id="tagged_rate-p_multi-negative"),
+        pytest.param(lambda: decoy_rate_trusted(CHANNEL, INF, 0.1), id="decoy_trusted-nu_s-inf"),
         pytest.param(lambda: maximize_ratio(1e-3, INF), id="maximize_ratio-mu-inf"),
         pytest.param(lambda: poisson_pnd(INF), id="poisson_pnd-inf"),
         pytest.param(lambda: gaussian_b123(WINDOW, NAN), id="gaussian_b123-nan"),
